@@ -83,21 +83,27 @@ CompactionRound runCompactionRound(size_t NumShards) {
                        /*CaptureTimeNs=*/I + 1)
                  .takeError());
 
+  // Each operation changes the store (the merge writes the aggregate
+  // cache, compaction folds the shards), so each is timed exactly once:
+  // a second run would time a cache hit or a no-op.
   ThreadPool Pool(8);
   ProfileStore::MergeResult Flat;
-  R.FlatMs = timeMs([&] { Flat = cantFail(Store.merge({}, &Pool)); });
+  R.FlatMs = timeMs([&] { Flat = cantFail(Store.merge({}, &Pool)); }, 1);
   R.InputsFlat = Flat.InputsMerged;
   std::vector<uint8_t> FlatBytes = writeGmon(Flat.Data);
 
-  R.CompactMs = timeMs([&] {
-    CompactionStats Stats = cantFail(Store.compact(&Pool));
-    R.Folds = Stats.Steps;
-  });
+  R.CompactMs = timeMs(
+      [&] {
+        CompactionStats Stats = cantFail(Store.compact(&Pool));
+        R.Folds = Stats.Steps;
+      },
+      1);
 
   // Cold again: drop the cached aggregate so the report actually merges.
   cantFail(removeFile(Store.cachePath(Flat.Digest)));
   ProfileStore::MergeResult Tiered;
-  R.ReportMs = timeMs([&] { Tiered = cantFail(Store.merge({}, &Pool)); });
+  R.ReportMs =
+      timeMs([&] { Tiered = cantFail(Store.merge({}, &Pool)); }, 1);
   R.InputsCompacted = Tiered.InputsMerged;
   R.RunsUsed = Tiered.RunsUsed;
   R.Identical = writeGmon(Tiered.Data) == FlatBytes;
@@ -172,10 +178,12 @@ int main(int Argc, char **Argv) {
   std::printf("\ncompaction: fanout 8, cold report before vs after\n\n");
   row({"shards", "flat ms", "compact ms", "report ms", "inputs", "runs"},
       12);
-  bool CompactIdentical = true, CompactBounded = true;
+  bool CompactIdentical = true, CompactBounded = true, CompactMerged = true;
   for (size_t N : StoreSizes) {
     CompactionRound R = runCompactionRound(N);
     CompactIdentical = CompactIdentical && R.Identical;
+    CompactMerged = CompactMerged && R.InputsFlat == N &&
+                    R.InputsCompacted > 0 && R.RunsUsed > 0;
     CompactBounded = CompactBounded && R.InputsCompacted <= 16;
     row({format("%zu", R.Shards), format("%.2f", R.FlatMs),
          format("%.2f", R.CompactMs), format("%.2f", R.ReportMs),
@@ -209,6 +217,11 @@ int main(int Argc, char **Argv) {
   Ok &= check(CompactIdentical,
               "the compacted report is byte-identical to the flat merge at "
               "every store size");
+  // The bound below also holds when nothing was merged (a cache hit
+  // reports 0 inputs), so first prove both reports really merged.
+  Ok &= check(CompactMerged,
+              "both cold reports merged: the flat one every shard, the "
+              "compacted one at least one run");
   Ok &= check(CompactBounded,
               "after compaction a full report merges at most 16 inputs");
   Json.set("kway1_ms", KWay1Ms);

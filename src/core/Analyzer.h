@@ -26,12 +26,8 @@
 ///  7. produce the report: flat order, graph listing order with
 ///     cross-reference indices, never-called routines.
 ///
-/// Steps 1, 4 and 6 optionally run on a thread pool (AnalyzerOptions::
-/// Threads): arcs symbolize in shards, samples are assigned routine-major
-/// with one owner per routine, and propagation proceeds level by level
-/// over the condensed DAG.  Every reduction is ordered so the resulting
-/// listings are byte-identical at any thread count; docs/ANALYZER.md
-/// describes the scheme.
+/// Every step runs on the calling thread, in one fixed order, so the
+/// listings are a pure function of the inputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,12 +63,9 @@ struct AnalyzerOptions {
   /// If nonzero, run the retrospective's cycle-breaking heuristic with
   /// this bound on the number of arcs it may remove.
   unsigned AutoBreakCycleBound = 0;
-  /// Worker threads for the parallel pipeline stages (arc symbolization,
-  /// histogram sample assignment, level-synchronous time propagation):
-  /// 1 runs everything inline on the calling thread, 0 uses one worker
-  /// per hardware thread.  The listings produced are byte-identical for
-  /// every value — parallelism never changes the output, only the wall
-  /// time (see docs/ANALYZER.md for the determinism contract).
+  /// Unread: the analysis always runs on the calling thread.  Kept only
+  /// because bench_e2e/ still assigns it; remove it together with those
+  /// assignments.
   unsigned Threads = 1;
 };
 

@@ -32,8 +32,19 @@ Expected<Frame> ServeClient::attempt(MsgType Type,
   telemetry::Registry &R = telemetry::Registry::instance();
   const bool Tracing = R.spansEnabled();
   const uint64_t BeginNs = Tracing ? R.nowNs() : 0;
-  if (Error E = Conn->writeFrame(Type, Payload))
+  if (Error E = Conn->writeFrame(Type, Payload)) {
+    // A daemon at capacity writes RETRY and closes without reading, so
+    // the send can fail while that answer already sits in the receive
+    // buffer.  A whole pending frame wins over the send error.  Only an
+    // answer already there counts: a peer that is still open and silent
+    // (a failed send that never reached it) must not stall the caller.
+    if (Conn->inputPending()) {
+      auto Pending = Conn->readFrame();
+      if (Pending && *Pending)
+        return std::move(**Pending);
+    }
     return E;
+  }
   auto Response = Conn->readFrame();
   if (!Response)
     return Response.takeError();

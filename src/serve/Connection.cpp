@@ -69,6 +69,11 @@ Expected<std::optional<Frame>> Connection::readFrame() {
   return std::optional<Frame>(std::move(F));
 }
 
+bool Connection::inputPending() const {
+  auto Ready = Sock.waitReadable(0);
+  return Ready && *Ready;
+}
+
 Error Connection::writeFrame(MsgType Type,
                              const std::vector<uint8_t> &Payload) {
   if (Payload.size() > MaxFramePayload)

@@ -70,6 +70,10 @@ public:
     return writeFrame(MsgType::Retry, encodeText(Hint));
   }
 
+  /// True when the peer has already sent bytes or closed, so readFrame()
+  /// would not wait.
+  bool inputPending() const;
+
   bool isOpen() const { return Sock.isOpen(); }
   void close() { Sock.close(); }
 

@@ -338,9 +338,7 @@ Error ServeServer::handleQuery(Connection &Conn, const Frame &Request) {
   if (!Merged)
     return Conn.writeError(Merged.message());
 
-  AnalyzerOptions AO;
-  AO.Threads = 1;
-  auto Report = analyzeImageProfile(*Img, Merged->Data, AO);
+  auto Report = analyzeImageProfile(*Img, Merged->Data);
   if (!Report)
     return Conn.writeError(Report.message());
 

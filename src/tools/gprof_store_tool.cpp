@@ -78,18 +78,6 @@ Expected<Sha256Digest> imageIdForFile(const std::string &Path) {
   return Sha256::hash(Map->data(), Map->size());
 }
 
-/// Parses --jobs into a worker count (0 = hardware threads).
-bool parseJobs(OptionParser &Opts, unsigned &Jobs) {
-  Jobs = 0;
-  if (auto V = Opts.getValue("jobs")) {
-    unsigned long long N;
-    if (!parseUInt64(*V, N) || N > 1024)
-      return false;
-    Jobs = static_cast<unsigned>(N);
-  }
-  return true;
-}
-
 /// Parses an optional u64 value (capture-time nanoseconds); false on
 /// malformed input.  \p Present reports whether the option was given.
 bool parseU64Option(const OptionParser &Opts, const char *Name, uint64_t &Out,
@@ -209,8 +197,6 @@ int cmdMerge(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store merge",
                     "aggregate shards with the parallel k-way merge tree");
   Opts.setPositionalHelp("STORE [DIGEST-PREFIX ...]");
-  Opts.addOption("jobs", 'j', "N",
-                 "worker threads for the merge tree (0 = one per core)");
   Opts.addOption("output", 'o', "FILE",
                  "also write the merged gmon data to FILE");
   addStatsFlag(Opts);
@@ -222,9 +208,6 @@ int cmdMerge(int Argc, const char *const *Argv) {
   }
   if (Opts.positional().empty())
     return fail("expected a store path");
-  unsigned Jobs;
-  if (!parseJobs(Opts, Jobs))
-    return fail("invalid --jobs value");
 
   auto Store = ProfileStore::open(Opts.positional().front());
   if (!Store)
@@ -233,7 +216,7 @@ int cmdMerge(int Argc, const char *const *Argv) {
   if (!Members)
     return fail(Members.message());
 
-  ThreadPool Pool(Jobs);
+  ThreadPool Pool; // One merge worker per core.
   auto Result = Store->merge(Members.takeValue(), &Pool);
   if (!Result)
     return fail(Result.message());
@@ -256,9 +239,6 @@ int cmdReport(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store report",
                     "print gprof listings for a merged aggregate");
   Opts.setPositionalHelp("STORE image.tlx [DIGEST-PREFIX ...]");
-  Opts.addOption("jobs", 'j', "N",
-                 "worker threads for the merge tree and the analysis "
-                 "pipeline (0 = one per core)");
   Opts.addFlag("brief", 'b', "suppress field descriptions");
   Opts.addFlag("zero", 'z', "show zero-time zero-call routines as rows");
   Opts.addFlag("flat-only", 0, "print only the flat profile");
@@ -279,9 +259,6 @@ int cmdReport(int Argc, const char *const *Argv) {
   }
   if (Opts.positional().size() < 2)
     return fail("expected a store path and an image path");
-  unsigned Jobs;
-  if (!parseJobs(Opts, Jobs))
-    return fail("invalid --jobs value");
   uint64_t SinceNs, UntilNs;
   bool HaveSince, HaveUntil;
   if (!parseU64Option(Opts, "since", SinceNs, HaveSince))
@@ -319,7 +296,7 @@ int cmdReport(int Argc, const char *const *Argv) {
       return fail("no shards captured in the requested time window");
   }
 
-  ThreadPool Pool(Jobs);
+  ThreadPool Pool; // One merge worker per core.
   auto Result = Store->merge(Members.takeValue(), &Pool);
   if (!Result)
     return fail(Result.message());
@@ -338,9 +315,7 @@ int cmdReport(int Argc, const char *const *Argv) {
                  Result->MemberCount, Result->InputsMerged, Result->RunsUsed,
                  Result->InputsMerged - Result->RunsUsed);
 
-  AnalyzerOptions AO;
-  AO.Threads = Jobs; // Byte-identical listings at any width (0 = cores).
-  auto Report = analyzeImageProfile(*Img, Result->Data, AO);
+  auto Report = analyzeImageProfile(*Img, Result->Data);
   if (!Report)
     return fail(Report.message());
 
@@ -715,8 +690,6 @@ int cmdCompact(int Argc, const char *const *Argv) {
                     "fold loose shards and low-level runs into tiered "
                     "merge runs so reports touch O(log N) inputs");
   Opts.setPositionalHelp("STORE");
-  Opts.addOption("jobs", 'j', "N",
-                 "merge worker threads (default: hardware concurrency)");
   Opts.addOption("fanout", 0, "N",
                  "inputs folded per compaction step (default 8, min 2)");
   addStatsFlag(Opts);
@@ -728,9 +701,6 @@ int cmdCompact(int Argc, const char *const *Argv) {
   }
   if (Opts.positional().size() != 1)
     return fail("expected exactly one store path");
-  unsigned Jobs;
-  if (!parseJobs(Opts, Jobs))
-    return fail("invalid --jobs value");
   StoreOptions SO;
   if (!parseUnsigned(Opts, "fanout", 8, 1u << 20, SO.CompactionFanout) ||
       SO.CompactionFanout < 2)
@@ -739,7 +709,7 @@ int cmdCompact(int Argc, const char *const *Argv) {
   auto Store = ProfileStore::open(Opts.positional().front(), SO);
   if (!Store)
     return fail(Store.message());
-  ThreadPool Pool(Jobs);
+  ThreadPool Pool; // One merge worker per core.
   auto Stats = Store->compact(&Pool);
   if (!Stats)
     return fail(Stats.message());

@@ -58,10 +58,6 @@ int main(int Argc, char **Argv) {
   Opts.addFlag("tolerant", 0,
                "salvage whole records from truncated gmon files instead of "
                "rejecting them (damage summary goes to stderr)");
-  Opts.addOption("threads", 'j', "N",
-                 "worker threads for the analysis pipeline (1 = "
-                 "sequential, 0 = one per core); output is identical "
-                 "for every N");
   Opts.addFlag("flat-only", 0, "print only the flat profile");
   Opts.addFlag("graph-only", 0, "print only the call graph profile");
   Opts.addFlag("no-index", 0, "omit the index-by-name table");
@@ -150,15 +146,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     AO.AutoBreakCycleBound = static_cast<unsigned>(N);
-  }
-  if (auto Threads = Opts.getValue("threads")) {
-    unsigned long long N;
-    if (!parseUInt64(*Threads, N)) {
-      std::fprintf(stderr, "gprof: invalid --threads value '%s'\n",
-                   Threads->c_str());
-      return 1;
-    }
-    AO.Threads = static_cast<unsigned>(N);
   }
 
   std::optional<std::string> TracePath = Opts.getValue("trace-out");

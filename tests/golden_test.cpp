@@ -109,10 +109,8 @@ TEST(GoldenTest, CalculatorCallGraphWithCycle) {
 
 namespace {
 
-/// Like runCorpusProgram, but with context-tree recording on and the
-/// analysis run at \p AnalyzerThreads workers.
-Pipeline runCorpusProgramWithContexts(const std::string &Name,
-                                      unsigned AnalyzerThreads) {
+/// Like runCorpusProgram, but with context-tree recording on.
+Pipeline runCorpusProgramWithContexts(const std::string &Name) {
   std::string Path = std::string(TL_CORPUS_DIR) + "/" + Name;
   std::string Source = cantFail(readFileText(Path));
   CodeGenOptions CG;
@@ -127,9 +125,7 @@ Pipeline runCorpusProgramWithContexts(const std::string &Name,
   Machine.setHooks(&Mon);
   cantFail(Machine.run());
   P.Data = cantFail(readGmon(writeGmon(Mon.finish())));
-  AnalyzerOptions AO;
-  AO.Threads = AnalyzerThreads;
-  P.Report = cantFail(analyzeImageProfile(P.Img, P.Data, AO));
+  P.Report = cantFail(analyzeImageProfile(P.Img, P.Data));
   return P;
 }
 
@@ -137,39 +133,20 @@ Pipeline runCorpusProgramWithContexts(const std::string &Name,
 
 TEST(GoldenTest, ContextsListing) {
   // The gprof --contexts listing for the context-dependent-cost corpus
-  // program, pinned byte-exact at every analyzer --threads count (the
-  // "output is identical for every N" contract extends to the new
-  // listing).
-  std::string Reference;
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    Pipeline P = runCorpusProgramWithContexts("contexts.tl", Threads);
-    SymbolTable Syms = SymbolTable::fromImage(P.Img);
-    ContextTree Tree = cantFail(ContextTree::build(P.Data, Syms));
-    std::string Listing = printContexts(Tree);
-    if (Threads == 1) {
-      Reference = Listing;
-      checkGolden("contexts_listing.txt", Listing);
-    } else {
-      EXPECT_EQ(Listing, Reference) << "--threads " << Threads;
-    }
-  }
+  // program, pinned byte-exact.
+  Pipeline P = runCorpusProgramWithContexts("contexts.tl");
+  SymbolTable Syms = SymbolTable::fromImage(P.Img);
+  ContextTree Tree = cantFail(ContextTree::build(P.Data, Syms));
+  checkGolden("contexts_listing.txt", printContexts(Tree));
 }
 
 TEST(GoldenTest, ContextsPropagationError) {
   // The --prop-error table over the same run: cheap_user/costly_user
   // carry the paper-§6 misattribution this program is built to force;
   // a golden diff here means the propagation or the exact side moved.
-  std::string Reference;
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    Pipeline P = runCorpusProgramWithContexts("contexts.tl", Threads);
-    SymbolTable Syms = SymbolTable::fromImage(P.Img);
-    ContextTree Tree = cantFail(ContextTree::build(P.Data, Syms));
-    std::string Table = printPropagationError(propagationError(P.Report, Tree));
-    if (Threads == 1) {
-      Reference = Table;
-      checkGolden("contexts_properr.txt", Table);
-    } else {
-      EXPECT_EQ(Table, Reference) << "--threads " << Threads;
-    }
-  }
+  Pipeline P = runCorpusProgramWithContexts("contexts.tl");
+  SymbolTable Syms = SymbolTable::fromImage(P.Img);
+  ContextTree Tree = cantFail(ContextTree::build(P.Data, Syms));
+  checkGolden("contexts_properr.txt",
+              printPropagationError(propagationError(P.Report, Tree)));
 }

@@ -144,8 +144,7 @@ TEST_F(StoreCliTest, PutListMergeReportGc) {
   EXPECT_NE(Out.find("1 shard(s)"), std::string::npos);
 
   // merge: computes an aggregate, then serves it from the cache.
-  Rc = runCommand(format("%s merge %s -j 2", GPROF_STORE_PATH,
-                         StoreDir->c_str()),
+  Rc = runCommand(format("%s merge %s", GPROF_STORE_PATH, StoreDir->c_str()),
                   Out);
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("aggregate"), std::string::npos);

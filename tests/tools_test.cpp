@@ -278,29 +278,18 @@ TEST_F(ToolsTest, TlcDumpAst) {
 TEST_F(ToolsTest, GprofStatsAndTraceOut) {
   // The observability surface end to end: --stats=FILE writes the flat
   // stats JSON, --trace-out writes a Chrome trace, and neither disturbs
-  // the listings — the parallel run with telemetry on is byte-identical
-  // to the sequential run without it.
+  // the listings — the run with telemetry on is byte-identical to the
+  // run without it.
   std::string StatsPath = tempPath("stats.json");
   std::string TracePath = tempPath("trace.json");
 
-  // Pad the profile with distinct synthetic call sites so the symbolize
-  // stage has enough raw records to fan out across the pool (the chunk
-  // planner wants >= 1024 records per chunk).
-  auto Padded = readGmonFile(*Gmon);
-  ASSERT_TRUE(static_cast<bool>(Padded));
-  for (uint32_t I = 0; I != 6000; ++I)
-    Padded->Arcs.push_back({0x100000 + I, 0x200000 + (I % 7), 1});
-  std::string BigGmon = tempPath("big_gmon.out");
-  cantFail(writeGmonFile(BigGmon, *Padded));
-
   std::string Plain, Instrumented;
-  int Rc = runCommand(format("%s --threads 1 %s %s", GPROF_PATH,
-                             Img->c_str(), BigGmon.c_str()),
-                      Plain);
+  int Rc = runCommand(
+      format("%s %s %s", GPROF_PATH, Img->c_str(), Gmon->c_str()), Plain);
   ASSERT_EQ(Rc, 0) << Plain;
-  Rc = runCommand(format("%s --threads 8 --stats=%s --trace-out %s %s %s",
-                         GPROF_PATH, StatsPath.c_str(), TracePath.c_str(),
-                         Img->c_str(), BigGmon.c_str()),
+  Rc = runCommand(format("%s --stats=%s --trace-out %s %s %s", GPROF_PATH,
+                         StatsPath.c_str(), TracePath.c_str(), Img->c_str(),
+                         Gmon->c_str()),
                   Instrumented);
   ASSERT_EQ(Rc, 0) << Instrumented;
   EXPECT_EQ(Instrumented, Plain);
@@ -313,8 +302,8 @@ TEST_F(ToolsTest, GprofStatsAndTraceOut) {
   EXPECT_NE(Stats->find("analyzer.symbolize.raw_records"),
             std::string::npos);
 
-  // The trace parses, and every §4 phase plus per-worker pool tracks
-  // appear in it.
+  // The trace parses, and every §4 phase appears in it exactly once, on
+  // the main track.
   auto Trace = readFileText(TracePath);
   ASSERT_TRUE(static_cast<bool>(Trace));
   auto TS = validateTraceJson(*Trace);
@@ -322,13 +311,10 @@ TEST_F(ToolsTest, GprofStatsAndTraceOut) {
   EXPECT_EQ(TS->NameCounts.at("analyzer.symbolize"), 1u);
   EXPECT_EQ(TS->NameCounts.at("analyzer.assign"), 1u);
   EXPECT_EQ(TS->NameCounts.at("analyzer.propagate"), 1u);
-  EXPECT_GE(TS->NameCounts.at("pool.job"), 1u);
-  EXPECT_GE(TS->Tids.size(), 2u) << "expected main + worker tracks";
-  EXPECT_NE(Trace->find("worker-0"), std::string::npos)
-      << "expected named per-worker tracks";
+  EXPECT_NE(Trace->find("\"main\""), std::string::npos)
+      << "expected a named main track";
   std::remove(StatsPath.c_str());
   std::remove(TracePath.c_str());
-  std::remove(BigGmon.c_str());
 }
 
 TEST_F(ToolsTest, GprofBareStatsDumpsToStderr) {
