@@ -20,8 +20,10 @@
 /// A second section times the full single-thread pipeline over
 /// cycle-rich synthetic profiles at 5000 routines and at 100k routines
 /// with ~2M raw arcs, together with the symbolize/assign/propagate span
-/// times, and emits them as BENCH_postprocess_scale.json rows for the
-/// perf-tracking tooling.  Run with --smoke for a single quick iteration
+/// times and the time to print the flat and call-graph listings, and
+/// emits them as BENCH_postprocess_scale.json rows for the perf-tracking
+/// tooling.  In full mode it checks that printing stays linear: the
+/// per-arc print cost at 100k routines is within 4x of the cost at 5000.  Run with --smoke for a single quick iteration
 /// at the small size only (the ctest smoke target).
 ///
 /// A third section guards the read-path overhaul (docs/READPATH.md): it
@@ -36,6 +38,8 @@
 
 #include "bench/BenchUtil.h"
 #include "core/Analyzer.h"
+#include "core/FlatPrinter.h"
+#include "core/GraphPrinter.h"
 #include "gmon/GmonFile.h"
 #include "graph/Generators.h"
 #include "prof/ProfBaseline.h"
@@ -295,7 +299,8 @@ int main(int argc, char **argv) {
   std::printf("\nfull pipeline, single thread (%u hardware threads; phase "
               "columns are span ms\nfrom one extra instrumented run):\n\n",
               Cores);
-  row({"routines", "raw arcs", "ms", "symbolize", "assign", "propagate"},
+  row({"routines", "raw arcs", "ms", "symbolize", "assign", "propagate",
+       "print_ms", "print us/arc"},
       12);
 
   BenchJson Json("postprocess_scale");
@@ -308,6 +313,8 @@ int main(int argc, char **argv) {
   std::vector<PipelineSize> PipelineSizes = {{5000u, 4u}, {100000u, 20u}};
   if (Smoke)
     PipelineSizes = {{5000u, 4u}};
+  // Listing cost per analyzed arc, one entry per pipeline size.
+  std::vector<double> PrintUsPerArc;
   for (const PipelineSize &P : PipelineSizes) {
     SymbolTable PSyms;
     ProfileData PData;
@@ -320,16 +327,33 @@ int main(int argc, char **argv) {
     telemetry::Registry &Reg = telemetry::Registry::instance();
     Reg.resetValues();
     Reg.enableSpans(true);
-    (void)cantFail(An.analyze(PData));
+    ProfileReport Report = cantFail(An.analyze(PData));
     Reg.enableSpans(false);
     std::vector<telemetry::SpanRecord> Spans = Reg.collectSpans();
     double SymbolizeMs = spanTotalMs(Spans, "analyzer.symbolize");
     double AssignMs = spanTotalMs(Spans, "analyzer.assign");
     double PropagateMs = spanTotalMs(Spans, "analyzer.propagate");
 
+    // The listings a plain `gprof` run prints: flat profile, then call
+    // graph.  Each string is dropped before the next is built.
+    size_t PrintedBytes = 0;
+    double PrintMs = timeMs(
+        [&] {
+          PrintedBytes = printFlatProfile(Report).size();
+          PrintedBytes += printCallGraph(Report).size();
+        },
+        Reps);
+    const double UsPerArc =
+        Report.Arcs.empty()
+            ? 0.0
+            : PrintMs * 1e3 / static_cast<double>(Report.Arcs.size());
+    if (PrintedBytes != 0)
+      PrintUsPerArc.push_back(UsPerArc);
+
     row({format("%u", P.Routines), format("%zu", PData.Arcs.size()),
          formatFixed(Ms, 1), formatFixed(SymbolizeMs, 1),
-         formatFixed(AssignMs, 1), formatFixed(PropagateMs, 1)},
+         formatFixed(AssignMs, 1), formatFixed(PropagateMs, 1),
+         formatFixed(PrintMs, 1), formatFixed(UsPerArc, 2)},
         12);
     Json.beginRow();
     Json.setRow("routines", static_cast<uint64_t>(P.Routines));
@@ -338,6 +362,8 @@ int main(int argc, char **argv) {
     Json.setRow("symbolize_ms", SymbolizeMs);
     Json.setRow("assign_ms", AssignMs);
     Json.setRow("propagate_ms", PropagateMs);
+    Json.setRow("print_ms", PrintMs);
+    Json.setRow("report_arcs", static_cast<uint64_t>(Report.Arcs.size()));
   }
 
   //--- Symbolize throughput: flat resolver vs the pre-overhaul path. ------
@@ -454,5 +480,18 @@ int main(int argc, char **argv) {
               format("flat symbolize is >= %.1fx the legacy path at %u "
                      "routines (measured %.1fx)",
                      SymGate, SymN, SymSpeedup));
+  // Printing is linear in arcs: a listing step that rescans every arc per
+  // routine would cost ~20x more per arc at 100k routines than at 5000.
+  if (!Smoke) {
+    const bool BothPrinted = PrintUsPerArc.size() == 2 &&
+                             PrintUsPerArc[0] > 0.0 && PrintUsPerArc[1] > 0.0;
+    Ok &= check(BothPrinted,
+                "both full-pipeline sizes printed a nonempty listing");
+    Ok &= check(BothPrinted && PrintUsPerArc[1] <= 4.0 * PrintUsPerArc[0],
+                format("per-arc print cost at 100k routines is within 4x "
+                       "of 5000 (%.2f vs %.2f us/arc)",
+                       BothPrinted ? PrintUsPerArc[1] : 0.0,
+                       BothPrinted ? PrintUsPerArc[0] : 0.0));
+  }
   return Ok ? 0 : 1;
 }

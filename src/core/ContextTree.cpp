@@ -97,17 +97,6 @@ std::vector<uint32_t> ContextTree::routines() const {
   return Out;
 }
 
-std::vector<uint32_t> ContextTree::contextsOf(uint32_t Routine) const {
-  std::vector<uint32_t> Out;
-  for (uint32_t I = 0; I != Entries.size(); ++I)
-    if (Entries[I].Routine == Routine)
-      Out.push_back(I);
-  std::stable_sort(Out.begin(), Out.end(), [this](uint32_t A, uint32_t B) {
-    return Entries[A].InclusiveTicks > Entries[B].InclusiveTicks;
-  });
-  return Out;
-}
-
 std::string ContextTree::contextName(size_t I) const {
   // Collect the chain root-to-leaf.
   std::vector<uint32_t> Chain;
@@ -165,8 +154,18 @@ std::string gprof::printContexts(const ContextTree &Tree,
                             Tree.symbols().symbol(B).Name;
                    });
 
+  // Each routine's contexts, bucketed in one preorder sweep and then
+  // ordered by decreasing inclusive ticks (ties keep preorder).
+  std::vector<std::vector<uint32_t>> ContextsOf(Tree.symbols().size());
+  for (uint32_t I = 0; I != Tree.size(); ++I)
+    if (Tree.node(I).Routine != NoSymbol)
+      ContextsOf[Tree.node(I).Routine].push_back(I);
+
   for (uint32_t R : Routines) {
-    std::vector<uint32_t> Ctxs = Tree.contextsOf(R);
+    std::vector<uint32_t> &Ctxs = ContextsOf[R];
+    std::stable_sort(Ctxs.begin(), Ctxs.end(), [&](uint32_t A, uint32_t B) {
+      return Tree.node(A).InclusiveTicks > Tree.node(B).InclusiveTicks;
+    });
     Out += format("%s: %zu context%s, exact self %.3fs, exact total %.3fs\n",
                   Tree.symbols().symbol(R).Name.c_str(), Ctxs.size(),
                   Ctxs.size() == 1 ? "" : "s",

@@ -82,9 +82,6 @@ public:
   /// Symbol indices of every routine with at least one context, in
   /// symbol-table (address) order.
   std::vector<uint32_t> routines() const;
-  /// Indices of \p Routine's contexts, by decreasing inclusive ticks
-  /// (ties by preorder position — deterministic).
-  std::vector<uint32_t> contextsOf(uint32_t Routine) const;
 
   /// Renders context \p I as a root-to-leaf call chain, e.g.
   /// "main > fast > work".  Unsymbolized frames render as "<pc 0x...>".

@@ -9,7 +9,8 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <set>
+#include <cstdio>
+#include <span>
 
 using namespace gprof;
 
@@ -18,38 +19,131 @@ namespace {
 constexpr const char *Separator =
     "-----------------------------------------------\n";
 
-/// "name <cycle N> [idx]" reference for a routine.
-std::string nameRef(const ProfileReport &Report, uint32_t Fn) {
-  const FunctionEntry &F = Report.Functions[Fn];
-  std::string S = F.Name;
+/// Positions 0..N-1 grouped by key, each group in position order: a
+/// counting sort, built once per listing.
+class Buckets {
+public:
+  template <typename KeyFn>
+  Buckets(size_t NumKeys, uint32_t N, KeyFn Key) : Start(NumKeys + 1, 0) {
+    for (uint32_t I = 0; I != N; ++I)
+      ++Start[Key(I) + 1];
+    for (size_t K = 0; K != NumKeys; ++K)
+      Start[K + 1] += Start[K];
+    Items.resize(N);
+    std::vector<uint32_t> Next(Start.begin(), Start.end() - 1);
+    for (uint32_t I = 0; I != N; ++I)
+      Items[Next[Key(I)]++] = I;
+  }
+
+  std::span<const uint32_t> operator[](uint32_t K) const {
+    return {Items.data() + Start[K], Items.data() + Start[K + 1]};
+  }
+
+private:
+  std::vector<uint32_t> Start;
+  std::vector<uint32_t> Items;
+};
+
+/// Positions in Report.Arcs of each routine's in-arcs and out-arcs.  The
+/// buckets keep Report.Arcs order: the row sorts below are not stable
+/// and rows tie often, so they must see the same sequences a scan of
+/// Report.Arcs gives.
+struct ArcIndex {
+  explicit ArcIndex(const ProfileReport &R)
+      : Into(R.Functions.size(), static_cast<uint32_t>(R.Arcs.size()),
+             [&](uint32_t I) { return R.Arcs[I].Child; }),
+        OutOf(R.Functions.size(), static_cast<uint32_t>(R.Arcs.size()),
+              [&](uint32_t I) { return R.Arcs[I].Parent; }) {}
+  Buckets Into, OutOf;
+};
+
+/// The non-self arcs at \p Positions, in that order.
+std::vector<const ReportArc *> rowArcs(const ProfileReport &Report,
+                                       std::span<const uint32_t> Positions) {
+  std::vector<const ReportArc *> Arcs;
+  Arcs.reserve(Positions.size());
+  for (uint32_t P : Positions)
+    if (!Report.Arcs[P].SelfArc)
+      Arcs.push_back(&Report.Arcs[P]);
+  return Arcs;
+}
+
+/// Row order by propagated time, then count.  Parents list least
+/// significant first, so the heaviest parent sits next to the primary
+/// line; children list most significant first.
+bool lighterRow(const ReportArc *A, const ReportArc *B) {
+  double TA = A->PropSelf + A->PropChild;
+  double TB = B->PropSelf + B->PropChild;
+  if (TA != TB)
+    return TA < TB;
+  return A->Count < B->Count;
+}
+
+/// A "called" column value, "N" or "N<Sep>M", formatted on the stack.
+struct Called {
+  char Text[48];
+  explicit Called(uint64_t N, char Sep = 0, uint64_t M = 0) {
+    if (Sep == 0)
+      std::snprintf(Text, sizeof(Text), "%llu",
+                    static_cast<unsigned long long>(N));
+    else
+      std::snprintf(Text, sizeof(Text), "%llu%c%llu",
+                    static_cast<unsigned long long>(N), Sep,
+                    static_cast<unsigned long long>(M));
+  }
+};
+
+/// Appends " <cycleN> [idx]\n", the tail of every row naming \p F.
+void appendRefTail(std::string &Out, const FunctionEntry &F) {
   if (F.CycleNumber != 0)
-    S += format(" <cycle%u>", F.CycleNumber);
-  S += format(" [%u]", F.ListingIndex);
-  return S;
+    appendFormat(Out, " <cycle%u>", F.CycleNumber);
+  appendFormat(Out, " [%u]\n", F.ListingIndex);
 }
 
-/// The "called" field of a parent/child row: count and the callee's total.
-std::string calledFraction(uint64_t Count, uint64_t Total) {
-  return format("%llu/%llu", static_cast<unsigned long long>(Count),
-                static_cast<unsigned long long>(Total));
+/// A parent, child or member row with self and descendant times.
+void appendTimedRow(std::string &Out, double Self, double Desc,
+                    const Called &C, const FunctionEntry &F) {
+  appendFormat(Out, "%6s %8.2f %11.2f %13s     %s", "", Self, Desc, C.Text,
+               F.Name.c_str());
+  appendRefTail(Out, F);
 }
 
-/// One non-primary row.
-std::string arcRow(const std::string &SelfCol, const std::string &DescCol,
-                   const std::string &CalledCol, const std::string &Name) {
-  return format("%6s %8s %11s %13s     %s\n", "", SelfCol.c_str(),
-                DescCol.c_str(), CalledCol.c_str(), Name.c_str());
+/// The row for arc \p A naming routine \p Fn, one of its ends.  \p Total
+/// is the callee's total calls.
+void appendArcRow(std::string &Out, const ProfileReport &Report,
+                  const ReportArc &A, uint32_t Fn, uint64_t Total) {
+  const FunctionEntry &F = Report.Functions[Fn];
+  if (!A.WithinCycle) {
+    appendTimedRow(Out, A.PropSelf, A.PropChild, Called(A.Count, '/', Total),
+                   F);
+    return;
+  }
+  // Calls among cycle members are listed but carry no time (§5.2).
+  appendFormat(Out, "%6s %8s %11s %13s     %s", "", "", "",
+               Called(A.Count).Text, F.Name.c_str());
+  appendRefTail(Out, F);
 }
 
-/// The primary row of an entry.
-std::string primaryRow(uint32_t ListingIndex, double Percent, double Self,
-                       double Desc, const std::string &CalledCol,
-                       const std::string &Name) {
-  return format("%-6s %8s %11s %13s %s [%u]\n",
-                format("[%u]", ListingIndex).c_str(),
-                format("%5.1f %8.2f", Percent, Self).c_str(),
-                format("%.2f", Desc).c_str(), CalledCol.c_str(),
-                Name.c_str(), ListingIndex);
+void appendSpontaneousRow(std::string &Out, uint64_t Count, uint64_t Total) {
+  appendFormat(Out, "%6s %8s %11s %13s     <spontaneous>\n", "", "", "",
+               Called(Count, '/', Total).Text);
+}
+
+/// The primary row of an entry up to and including \p Name.  "+n" counts
+/// self-recursive or intra-cycle calls.
+void appendPrimaryRow(std::string &Out, const ProfileReport &Report,
+                      uint32_t ListingIndex, double Self, double Desc,
+                      uint64_t Calls, uint64_t PlusCalls, const char *Name) {
+  char Index[16];
+  std::snprintf(Index, sizeof(Index), "[%u]", ListingIndex);
+  double Percent = Report.TotalTime > 0.0
+                       ? 100.0 * (Self + Desc) / Report.TotalTime
+                       : 0.0;
+  appendFormat(Out, "%-6s %5.1f %8.2f %11.2f %13s %s", Index, Percent, Self,
+               Desc,
+               PlusCalls != 0 ? Called(Calls, '+', PlusCalls).Text
+                              : Called(Calls).Text,
+               Name);
 }
 
 /// Denominator for an arc into \p Child: the whole cycle's external calls
@@ -61,147 +155,77 @@ uint64_t calleeTotalCalls(const ProfileReport &Report, uint32_t Child) {
   return F.Calls;
 }
 
-void printFunctionEntry(const ProfileReport &Report, uint32_t Fn,
-                        std::string &Out) {
+void printFunctionEntry(const ProfileReport &Report, const ArcIndex &Index,
+                        uint32_t Fn, std::string &Out) {
   const FunctionEntry &F = Report.Functions[Fn];
 
-  // Parents block, least significant first so the heaviest parent sits
-  // next to the primary line.
-  std::vector<const ReportArc *> Parents = Report.arcsInto(Fn);
-  std::erase_if(Parents, [](const ReportArc *A) { return A->SelfArc; });
-  std::sort(Parents.begin(), Parents.end(),
-            [](const ReportArc *A, const ReportArc *B) {
-              double TA = A->PropSelf + A->PropChild;
-              double TB = B->PropSelf + B->PropChild;
-              if (TA != TB)
-                return TA < TB;
-              return A->Count < B->Count;
-            });
+  std::vector<const ReportArc *> Parents = rowArcs(Report, Index.Into[Fn]);
+  std::sort(Parents.begin(), Parents.end(), lighterRow);
 
+  const uint64_t TotalCalls = calleeTotalCalls(Report, Fn);
   if (F.SpontaneousCalls != 0)
-    Out += arcRow("", "",
-                  calledFraction(F.SpontaneousCalls,
-                                 calleeTotalCalls(Report, Fn)),
-                  "<spontaneous>");
+    appendSpontaneousRow(Out, F.SpontaneousCalls, TotalCalls);
   else if (Parents.empty() && F.Calls == 0)
-    Out += arcRow("", "", "", "<never called>");
+    appendFormat(Out, "%6s %8s %11s %13s     <never called>\n", "", "", "",
+                 "");
+  for (const ReportArc *A : Parents)
+    appendArcRow(Out, Report, *A, A->Parent, TotalCalls);
 
-  for (const ReportArc *A : Parents) {
-    if (A->WithinCycle) {
-      // Calls among cycle members are listed but carry no time (§5.2).
-      Out += arcRow("", "",
-                    format("%llu", static_cast<unsigned long long>(A->Count)),
-                    nameRef(Report, A->Parent));
-      continue;
-    }
-    Out += arcRow(format("%.2f", A->PropSelf),
-                  format("%.2f", A->PropChild),
-                  calledFraction(A->Count, calleeTotalCalls(Report, Fn)),
-                  nameRef(Report, A->Parent));
-  }
+  // Self-recursive calls "do not affect the propagation of time".
+  appendPrimaryRow(Out, Report, F.ListingIndex, F.SelfTime, F.ChildTime,
+                   F.Calls, F.SelfCalls, F.Name.c_str());
+  appendRefTail(Out, F);
 
-  // Primary line.  Self-recursive calls appear as "+n" and "do not affect
-  // the propagation of time".
-  std::string Called =
-      format("%llu", static_cast<unsigned long long>(F.Calls));
-  if (F.SelfCalls != 0)
-    Called += format("+%llu", static_cast<unsigned long long>(F.SelfCalls));
-  std::string Name = F.Name;
-  if (F.CycleNumber != 0)
-    Name += format(" <cycle%u>", F.CycleNumber);
-  Out += primaryRow(F.ListingIndex,
-                    Report.TotalTime > 0.0
-                        ? 100.0 * F.totalTime() / Report.TotalTime
-                        : 0.0,
-                    F.SelfTime, F.ChildTime, Called, Name);
-
-  // Children block, most significant first.
-  std::vector<const ReportArc *> Children = Report.arcsOutOf(Fn);
-  std::erase_if(Children, [](const ReportArc *A) { return A->SelfArc; });
+  std::vector<const ReportArc *> Children = rowArcs(Report, Index.OutOf[Fn]);
   std::sort(Children.begin(), Children.end(),
             [](const ReportArc *A, const ReportArc *B) {
-              double TA = A->PropSelf + A->PropChild;
-              double TB = B->PropSelf + B->PropChild;
-              if (TA != TB)
-                return TA > TB;
-              return A->Count > B->Count;
+              return lighterRow(B, A);
             });
-  for (const ReportArc *A : Children) {
-    if (A->WithinCycle) {
-      Out += arcRow("", "",
-                    format("%llu", static_cast<unsigned long long>(A->Count)),
-                    nameRef(Report, A->Child));
-      continue;
-    }
-    Out += arcRow(format("%.2f", A->PropSelf),
-                  format("%.2f", A->PropChild),
-                  calledFraction(A->Count, calleeTotalCalls(Report, A->Child)),
-                  nameRef(Report, A->Child));
-  }
+  for (const ReportArc *A : Children)
+    appendArcRow(Out, Report, *A, A->Child,
+                 calleeTotalCalls(Report, A->Child));
   Out += Separator;
 }
 
-void printCycleEntry(const ProfileReport &Report, uint32_t CycleIdx,
-                     std::string &Out) {
+void printCycleEntry(const ProfileReport &Report, const ArcIndex &Index,
+                     uint32_t CycleIdx, std::string &Out) {
   const CycleEntry &C = Report.Cycles[CycleIdx];
-  std::set<uint32_t> MemberSet(C.Members.begin(), C.Members.end());
 
-  // Parents: arcs into any member from outside the cycle.
-  std::vector<const ReportArc *> Parents;
+  // Parents: arcs into any member from outside the cycle, in
+  // Report.Arcs order before the row sort.
+  std::vector<uint32_t> Positions;
   uint64_t SpontaneousIntoCycle = 0;
-  for (uint32_t M : C.Members)
+  for (uint32_t M : C.Members) {
     SpontaneousIntoCycle += Report.Functions[M].SpontaneousCalls;
-  for (const ReportArc &A : Report.Arcs) {
-    if (A.SelfArc || A.WithinCycle)
-      continue;
-    if (MemberSet.count(A.Child) && !MemberSet.count(A.Parent))
-      Parents.push_back(&A);
+    for (uint32_t P : Index.Into[M])
+      if (!Report.Arcs[P].WithinCycle)
+        Positions.push_back(P);
   }
-  std::sort(Parents.begin(), Parents.end(),
-            [](const ReportArc *A, const ReportArc *B) {
-              double TA = A->PropSelf + A->PropChild;
-              double TB = B->PropSelf + B->PropChild;
-              if (TA != TB)
-                return TA < TB;
-              return A->Count < B->Count;
-            });
+  std::sort(Positions.begin(), Positions.end());
+  std::vector<const ReportArc *> Parents = rowArcs(Report, Positions);
+  std::sort(Parents.begin(), Parents.end(), lighterRow);
 
   if (SpontaneousIntoCycle != 0)
-    Out += arcRow("", "",
-                  calledFraction(SpontaneousIntoCycle, C.ExternalCalls),
-                  "<spontaneous>");
+    appendSpontaneousRow(Out, SpontaneousIntoCycle, C.ExternalCalls);
   for (const ReportArc *A : Parents)
-    Out += arcRow(format("%.2f", A->PropSelf),
-                  format("%.2f", A->PropChild),
-                  calledFraction(A->Count, C.ExternalCalls),
-                  nameRef(Report, A->Parent));
+    appendArcRow(Out, Report, *A, A->Parent, C.ExternalCalls);
 
-  // Primary line for the cycle as a whole.  Internal calls appear as "+n".
-  std::string Called =
-      format("%llu", static_cast<unsigned long long>(C.ExternalCalls));
-  if (C.InternalCalls != 0)
-    Called +=
-        format("+%llu", static_cast<unsigned long long>(C.InternalCalls));
-  Out += primaryRow(C.ListingIndex,
-                    Report.TotalTime > 0.0
-                        ? 100.0 * C.totalTime() / Report.TotalTime
-                        : 0.0,
-                    C.SelfTime, C.ChildTime, Called,
-                    format("<cycle %u as a whole>", C.Number));
+  char Name[48];
+  std::snprintf(Name, sizeof(Name), "<cycle %u as a whole>", C.Number);
+  appendPrimaryRow(Out, Report, C.ListingIndex, C.SelfTime, C.ChildTime,
+                   C.ExternalCalls, C.InternalCalls, Name);
+  appendFormat(Out, " [%u]\n", C.ListingIndex);
 
   // "members of the cycle are listed in place of the children", each with
   // the number of calls it received from within the cycle.
   for (uint32_t M : C.Members) {
     uint64_t CallsFromCycle = 0;
-    for (const ReportArc &A : Report.Arcs)
-      if (A.WithinCycle && A.Child == M)
-        CallsFromCycle += A.Count;
+    for (uint32_t P : Index.Into[M])
+      if (Report.Arcs[P].WithinCycle)
+        CallsFromCycle += Report.Arcs[P].Count;
     const FunctionEntry &FM = Report.Functions[M];
-    Out += arcRow(format("%.2f", FM.SelfTime),
-                  format("%.2f", FM.ChildTime),
-                  format("%llu",
-                         static_cast<unsigned long long>(CallsFromCycle)),
-                  nameRef(Report, M));
+    appendTimedRow(Out, FM.SelfTime, FM.ChildTime, Called(CallsFromCycle),
+                   FM);
   }
   Out += Separator;
 }
@@ -241,6 +265,7 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
            "counts are lower bounds\n\n";
   Out += listingHeader(Opts.Brief);
 
+  const ArcIndex Index(Report);
   for (const ListingEntry &E : Report.GraphOrder) {
     if (E.IsCycle) {
       const CycleEntry &C = Report.Cycles[E.Index];
@@ -252,7 +277,7 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
         if (!AnyMember)
           continue;
       }
-      printCycleEntry(Report, E.Index, Out);
+      printCycleEntry(Report, Index, E.Index, Out);
       continue;
     }
     const std::string &Name = Report.Functions[E.Index].Name;
@@ -261,7 +286,7 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
       continue;
     if (matchesAny(Name, Opts.ExcludeFunctions))
       continue;
-    printFunctionEntry(Report, E.Index, Out);
+    printFunctionEntry(Report, Index, E.Index, Out);
   }
 
   if (Opts.PrintIndex) {
@@ -276,8 +301,8 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
                 return Report.Functions[A].Name < Report.Functions[B].Name;
               });
     for (uint32_t I : ByName)
-      Out += format("  [%u] %s\n", Report.Functions[I].ListingIndex,
-                    Report.Functions[I].Name.c_str());
+      appendFormat(Out, "  [%u] %s\n", Report.Functions[I].ListingIndex,
+                   Report.Functions[I].Name.c_str());
   }
   return Out;
 }
@@ -288,6 +313,6 @@ std::string gprof::printCallGraphEntry(const ProfileReport &Report,
   if (Fn == ~0u)
     return std::string();
   std::string Out = listingHeader(/*Brief=*/true);
-  printFunctionEntry(Report, Fn, Out);
+  printFunctionEntry(Report, ArcIndex(Report), Fn, Out);
   return Out;
 }

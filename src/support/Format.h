@@ -28,6 +28,13 @@ std::string format(const char *Fmt, ...)
 /// vprintf-style formatting into a std::string.
 std::string formatV(const char *Fmt, va_list Args);
 
+/// printf-style formatting appended to \p Out (no temporary string).
+void appendFormat(std::string &Out, const char *Fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// vprintf-style formatting appended to \p Out.
+void appendFormatV(std::string &Out, const char *Fmt, va_list Args);
+
 /// Right-aligns \p S in a field of \p Width characters (never truncates).
 std::string padLeft(std::string_view S, unsigned Width);
 

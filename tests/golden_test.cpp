@@ -19,10 +19,12 @@
 #include "core/ContextTree.h"
 #include "core/FlatPrinter.h"
 #include "core/GraphPrinter.h"
+#include "core/SyntheticProfile.h"
 #include "gmon/GmonFile.h"
 #include "prof/ProfBaseline.h"
 #include "runtime/Monitor.h"
 #include "support/FileUtils.h"
+#include "support/Format.h"
 #include "vm/CodeGen.h"
 #include "vm/VM.h"
 
@@ -149,4 +151,153 @@ TEST(GoldenTest, ContextsPropagationError) {
   ContextTree Tree = cantFail(ContextTree::build(P.Data, Syms));
   checkGolden("contexts_properr.txt",
               printPropagationError(propagationError(P.Report, Tree)));
+}
+
+namespace {
+
+/// A hand-built profile that reaches every branch of the call graph
+/// printer: two multi-member cycles (the first entered from several
+/// outside parents and spontaneously, the second from a cycle member),
+/// parent and child rows tied on both propagated time and count (more of
+/// them than an insertion sort handles, so the order the sorts see
+/// matters), static arcs, self recursion inside and outside a cycle,
+/// spontaneous activations and a routine that is never called.
+ProfileReport analyzeListingStressProfile() {
+  SyntheticProfileBuilder B(100);
+  uint32_t Main = B.addFunction("main");
+  uint32_t A1 = B.addFunction("a1");
+  uint32_t A2 = B.addFunction("a2");
+  uint32_t A3 = B.addFunction("a3");
+  uint32_t B1 = B.addFunction("b1");
+  uint32_t B2 = B.addFunction("b2");
+  uint32_t X = B.addFunction("x");
+  uint32_t Y = B.addFunction("y");
+  uint32_t Z = B.addFunction("z");
+  uint32_t Shared = B.addFunction("shared");
+  uint32_t Leaf = B.addFunction("leaf");
+  uint32_t Rec = B.addFunction("rec");
+  uint32_t Handler = B.addFunction("handler");
+  uint32_t Lonely = B.addFunction("lonely");
+  std::vector<uint32_t> Fans;
+  for (unsigned I = 0; I != 20; ++I)
+    Fans.push_back(B.addFunction(format("fan%02u", I)));
+
+  B.addSpontaneous(Main);
+  // Cycle 1: a1 -> a2 -> a3 -> a1, entered from main, x, y and z, and
+  // spontaneously; a3 also recurses on itself.
+  B.addCall(A1, A2, 3);
+  B.addCall(A2, A3, 4);
+  B.addCall(A3, A1, 5);
+  B.addCall(A3, A3, 2);
+  B.addCall(Main, A1, 2);
+  B.addCall(X, A2, 2);
+  B.addCall(Y, A3, 2);
+  B.addCall(Z, A1, 2);
+  B.addSpontaneous(A2, 1);
+  // Cycle 2: b1 <-> b2, entered from a cycle-1 member and from main.
+  B.addCall(B1, B2, 7);
+  B.addCall(B2, B1, 6);
+  B.addCall(A3, B1, 1);
+  B.addCall(Main, B2, 1);
+  B.addCall(B2, Leaf, 4);
+  // x, y and z are alike, so main's rows for them tie on time and count.
+  for (uint32_t P : {X, Y, Z}) {
+    B.addCall(Main, P, 1);
+    B.addCall(P, Leaf, 1);
+    B.setSelfSeconds(P, 0.25);
+  }
+  // Twenty identical fan routines: main's children and shared's parents
+  // tie on both keys.
+  for (uint32_t F : Fans) {
+    B.addCall(Main, F, 1);
+    B.addCall(F, Shared, 1);
+    B.setSelfSeconds(F, 0.05);
+  }
+  B.addCall(Main, Rec, 1);
+  B.addCall(Rec, Rec, 9);
+  B.addCall(Main, Handler, 2);
+  B.addSpontaneous(Handler, 3);
+  B.addStaticArc(Main, Lonely);
+  B.addStaticArc(Handler, Leaf);
+  B.addStaticArc(Leaf, Shared);
+
+  B.setSelfSeconds(Main, 0.5);
+  B.setSelfSeconds(A1, 0.3);
+  B.setSelfSeconds(A2, 0.2);
+  B.setSelfSeconds(A3, 0.1);
+  B.setSelfSeconds(B1, 0.4);
+  B.setSelfSeconds(B2, 0.15);
+  B.setSelfSeconds(Shared, 1.0);
+  B.setSelfSeconds(Leaf, 0.6);
+  B.setSelfSeconds(Rec, 0.35);
+  B.setSelfSeconds(Handler, 0.05);
+
+  auto In = B.build();
+  AnalyzerOptions Opts;
+  Opts.UseStaticArcs = true;
+  Analyzer A(std::move(In.Syms), std::move(Opts));
+  A.setStaticArcs(In.StaticArcs);
+  return cantFail(A.analyze(In.Data));
+}
+
+} // namespace
+
+TEST(GoldenTest, SyntheticCallGraphWithIndex) {
+  ProfileReport R = analyzeListingStressProfile();
+  ASSERT_EQ(R.Cycles.size(), 2u);
+  checkGolden("synthetic_graph.txt", printCallGraph(R)); // with the index
+}
+
+TEST(GoldenTest, SyntheticCycleMemberEntry) {
+  ProfileReport R = analyzeListingStressProfile();
+  checkGolden("synthetic_member_entry.txt", printCallGraphEntry(R, "a2"));
+}
+
+TEST(GoldenTest, ContextsTiedRowsKeepPreorder) {
+  // "work" runs in seven contexts, several with equal inclusive ticks;
+  // equal rows must list in preorder.  Rendered twice: with the default
+  // top five (the rest summarized) and with every context shown.
+  SymbolTable Syms;
+  const char *Names[] = {"main", "p", "q", "r", "work"};
+  for (unsigned I = 0; I != 5; ++I)
+    Syms.addSymbol(Names[I], 0x1000 + I * 0x100, 0x100);
+  cantFail(Syms.finalize());
+  auto Entry = [](unsigned Fn) -> Address { return 0x1000 + Fn * 0x100; };
+  auto Site = [](unsigned Fn, unsigned K) -> Address {
+    return 0x1000 + Fn * 0x100 + 8 + K;
+  };
+  enum { Main, P, Q, R, Work };
+
+  ProfileData Data;
+  Data.TicksPerSecond = 100;
+  auto Add = [&](uint32_t Parent, unsigned From, unsigned To, uint64_t Calls,
+                 uint64_t Ticks, unsigned K = 0) {
+    CctNode N;
+    N.Parent = Parent;
+    N.FromPc = Parent == CctRootParent ? 0 : Site(From, K);
+    N.SelfPc = Entry(To);
+    N.Calls = Calls;
+    N.Ticks = Ticks;
+    Data.Contexts.push_back(N);
+    return static_cast<uint32_t>(Data.Contexts.size() - 1);
+  };
+  uint32_t M = Add(CctRootParent, 0, Main, 1, 1);
+  uint32_t Pn = Add(M, Main, P, 2, 0);
+  Add(Pn, P, Work, 2, 2);
+  uint32_t Qn = Add(M, Main, Q, 1, 1);
+  Add(Qn, Q, Work, 3, 3);
+  uint32_t Rn = Add(Qn, Q, R, 1, 0);
+  Add(Rn, R, Work, 1, 2);
+  Add(M, Main, Work, 4, 2);
+  uint32_t Pn2 = Add(M, Main, P, 1, 1);
+  Add(Pn2, P, Work, 5, 3);
+  uint32_t Rn2 = Add(M, Main, R, 1, 0);
+  Add(Rn2, R, Work, 6, 2);
+  Add(Rn2, R, Work, 7, 2, /*K=*/1);
+
+  ContextTree Tree = cantFail(ContextTree::build(Data, Syms));
+  ContextPrintOptions All;
+  All.TopContexts = 10;
+  checkGolden("contexts_tied.txt",
+              printContexts(Tree) + "\n" + printContexts(Tree, All));
 }

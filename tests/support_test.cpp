@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdarg>
 #include <cstdio>
 
 using namespace gprof;
@@ -77,6 +78,62 @@ TEST(FormatTest, BasicPrintf) {
 TEST(FormatTest, LongOutput) {
   std::string Long(5000, 'a');
   EXPECT_EQ(format("%s", Long.c_str()).size(), 5000u);
+}
+
+namespace {
+
+/// The sizing-pass-then-write formatter, as a reference for the
+/// stack-buffer fast path.
+std::string twoPassFormat(const char *Fmt, ...) {
+  va_list Args, Copy;
+  va_start(Args, Fmt);
+  va_copy(Copy, Args);
+  int Needed = std::vsnprintf(nullptr, 0, Fmt, Copy);
+  va_end(Copy);
+  std::string Result(static_cast<size_t>(Needed), '\0');
+  std::vsnprintf(Result.data(), Result.size() + 1, Fmt, Args);
+  va_end(Args);
+  return Result;
+}
+
+/// A variadic wrapper forwarding its va_list, as callers of formatV do.
+std::string forwardingFormat(const char *Fmt, ...) {
+  va_list Args;
+  va_start(Args, Fmt);
+  std::string Result = formatV(Fmt, Args);
+  va_end(Args);
+  return Result;
+}
+
+} // namespace
+
+TEST(FormatTest, StackBufferBoundary) {
+  // The fast path formats into a 256-byte stack buffer: 255 bytes fit
+  // with the terminator, 256 and up take the second pass.
+  for (int Width : {0, 1, 254, 255, 256, 257, 5000}) {
+    std::string Expected = twoPassFormat("%*d|", Width, 42);
+    EXPECT_EQ(format("%*d|", Width, 42), Expected) << Width;
+    EXPECT_EQ(forwardingFormat("%*d|", Width, 42), Expected) << Width;
+  }
+  for (size_t Len : {255u, 256u, 257u, 5000u}) {
+    std::string Text(Len, 'x');
+    for (size_t I = 0; I != Len; ++I)
+      Text[I] = static_cast<char>('a' + I % 26);
+    EXPECT_EQ(format("%s", Text.c_str()), twoPassFormat("%s", Text.c_str()));
+    // A %s argument longer than the buffer, with fields after it.
+    EXPECT_EQ(forwardingFormat("[%s] %d %.2f", Text.c_str(), 7, 1.5),
+              twoPassFormat("[%s] %d %.2f", Text.c_str(), 7, 1.5));
+  }
+}
+
+TEST(FormatTest, AppendFormatKeepsPrefix) {
+  std::string Out = "head:";
+  appendFormat(Out, "%5.1f|", 3.14159);
+  std::string Long(300, 'z');
+  appendFormat(Out, "%s", Long.c_str());
+  EXPECT_EQ(Out, "head:  3.1|" + Long);
+  appendFormat(Out, "%s", "");
+  EXPECT_EQ(Out.size(), 5u + 6u + 300u);
 }
 
 TEST(FormatTest, Padding) {
