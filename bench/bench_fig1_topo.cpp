@@ -28,12 +28,15 @@ namespace {
 
 /// The Figure 1 graph; PaperNumber[i] is the node the figure labels i.
 CallGraph makeFigure1(std::vector<NodeId> &PaperNumber) {
-  CallGraph G;
+  std::vector<std::string> Names;
   PaperNumber.assign(11, InvalidNode);
-  for (uint32_t N : {4u, 2u, 9u, 1u, 10u, 3u, 6u, 8u, 5u, 7u})
-    PaperNumber[N] = G.addNode("node" + std::to_string(N));
+  for (uint32_t N : {4u, 2u, 9u, 1u, 10u, 3u, 6u, 8u, 5u, 7u}) {
+    PaperNumber[N] = static_cast<NodeId>(Names.size());
+    Names.push_back("node" + std::to_string(N));
+  }
+  std::vector<gprof::Arc> Arcs;
   auto Arc = [&](uint32_t F, uint32_t T) {
-    G.addArc(PaperNumber[F], PaperNumber[T], 1);
+    Arcs.push_back({PaperNumber[F], PaperNumber[T], 1});
   };
   Arc(10, 9);
   Arc(10, 8);
@@ -49,7 +52,7 @@ CallGraph makeFigure1(std::vector<NodeId> &PaperNumber) {
   Arc(3, 1);
   Arc(4, 1);
   Arc(2, 1);
-  return G;
+  return CallGraph(std::move(Names), std::move(Arcs));
 }
 
 } // namespace

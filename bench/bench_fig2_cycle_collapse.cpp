@@ -26,12 +26,15 @@ using namespace gprof::bench;
 namespace {
 
 CallGraph makeFigure2(std::vector<NodeId> &PaperNumber) {
-  CallGraph G;
+  std::vector<std::string> Names;
   PaperNumber.assign(11, InvalidNode);
-  for (uint32_t N : {6u, 1u, 8u, 10u, 2u, 4u, 9u, 3u, 7u, 5u})
-    PaperNumber[N] = G.addNode("node" + std::to_string(N));
+  for (uint32_t N : {6u, 1u, 8u, 10u, 2u, 4u, 9u, 3u, 7u, 5u}) {
+    PaperNumber[N] = static_cast<NodeId>(Names.size());
+    Names.push_back("node" + std::to_string(N));
+  }
+  std::vector<gprof::Arc> Arcs;
   auto Arc = [&](uint32_t F, uint32_t T) {
-    G.addArc(PaperNumber[F], PaperNumber[T], 1);
+    Arcs.push_back({PaperNumber[F], PaperNumber[T], 1});
   };
   Arc(10, 9);
   Arc(10, 8);
@@ -48,7 +51,7 @@ CallGraph makeFigure2(std::vector<NodeId> &PaperNumber) {
   Arc(4, 1);
   Arc(2, 1);
   Arc(3, 7); // Figure 2's addition: 3 and 7 are mutually recursive.
-  return G;
+  return CallGraph(std::move(Names), std::move(Arcs));
 }
 
 } // namespace
@@ -60,36 +63,37 @@ int main() {
   std::vector<NodeId> PaperNumber;
   CallGraph G = makeFigure2(PaperNumber);
   SCCResult SCCs = findSCCs(G);
-  CondensedGraph Cond = collapseCycles(G, SCCs);
+  CallGraph Dag = collapseCycles(G, SCCs);
 
   std::printf("\n  original graph: %zu nodes, %zu arcs\n", G.numNodes(),
               G.numArcs());
   std::printf("  condensed graph: %zu nodes, %zu arcs\n",
-              Cond.Dag.numNodes(), Cond.Dag.numArcs());
+              Dag.numNodes(), Dag.numArcs());
   std::printf("\n  condensed node members (topological number: members)\n");
-  for (NodeId C = 0; C != Cond.Dag.numNodes(); ++C) {
+  for (NodeId C = 0; C != Dag.numNodes(); ++C) {
     std::string Members;
-    for (NodeId M : Cond.Members[C])
+    for (NodeId M : SCCs.Components[C])
       Members += " " + G.nodeName(M);
     std::printf("    %2u:%s%s\n", C + 1, Members.c_str(),
-                Cond.isCycle(C) ? "   <- collapsed cycle" : "");
+                SCCs.Components[C].size() > 1 ? "   <- collapsed cycle"
+                                              : "");
   }
 
   std::printf("\nchecks against the paper:\n");
   bool AllOk = true;
   AllOk &= check(SCCs.numNontrivialComponents() == 1,
                  "exactly one strongly connected component is nontrivial");
-  NodeId CycleNode = Cond.CondensedOf[PaperNumber[3]];
-  AllOk &= check(CycleNode == Cond.CondensedOf[PaperNumber[7]] &&
-                     Cond.Members[CycleNode].size() == 2,
+  NodeId CycleNode = SCCs.ComponentOf[PaperNumber[3]];
+  AllOk &= check(CycleNode == SCCs.ComponentOf[PaperNumber[7]] &&
+                     SCCs.Components[CycleNode].size() == 2,
                  "the cycle is exactly {node3, node7} (Figure 2)");
-  AllOk &= check(Cond.Dag.numNodes() == 9,
+  AllOk &= check(Dag.numNodes() == 9,
                  "collapsing yields 9 nodes (Figure 3)");
-  AllOk &= check(Cond.Dag.isAcyclic(),
+  AllOk &= check(Dag.isAcyclic(),
                  "the collapsed graph is acyclic and can be numbered");
   bool OrderOk = true;
-  for (ArcId A = 0; A != Cond.Dag.numArcs(); ++A)
-    OrderOk &= Cond.Dag.arc(A).From > Cond.Dag.arc(A).To;
+  for (ArcId A = 0; A != Dag.numArcs(); ++A)
+    OrderOk &= Dag.arc(A).From > Dag.arc(A).To;
   AllOk &= check(OrderOk,
                  "renumbered arcs all go from higher to lower (Figure 3)");
   return AllOk ? 0 : 1;

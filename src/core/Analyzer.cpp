@@ -7,7 +7,6 @@
 #include "core/Analyzer.h"
 
 #include "graph/CallGraph.h"
-#include "graph/CycleCollapse.h"
 #include "graph/FeedbackArcs.h"
 #include "graph/Tarjan.h"
 #include "support/Arena.h"
@@ -23,17 +22,7 @@ Analyzer::Analyzer(SymbolTable Syms, AnalyzerOptions Opts)
 
 namespace {
 
-/// A symbolized function-level arc.  The analyzer keeps these in a flat
-/// vector sorted by (From, To) — the same iteration order the historical
-/// std::map gave, without a heap node and three pointer chases per arc.
-struct FnArc {
-  uint32_t From;
-  uint32_t To;
-  uint64_t Count;
-  bool Static;
-};
-
-bool fnArcKeyLess(const FnArc &A, std::pair<uint32_t, uint32_t> K) {
+bool arcKeyLess(const Arc &A, std::pair<uint32_t, uint32_t> K) {
   return A.From != K.first ? A.From < K.first : A.To < K.second;
 }
 
@@ -119,10 +108,9 @@ private:
 /// calls and spontaneous activations.  Each record resolves both call
 /// sites against the flat resolver and adds into one packed-key table;
 /// the table's (key, count) pairs are then sorted, so walking them emits
-/// FnArcs in exactly the (From, To) order the historical std::map
-/// iterated in.
+/// function-level arcs in (From, To) order.
 void symbolizeArcs(const std::vector<ArcRecord> &Raw, const SymbolTable &Syms,
-                   std::vector<FnArc> &FnArcs,
+                   std::vector<Arc> &FnArcs,
                    std::vector<uint64_t> &SelfCalls,
                    std::vector<uint64_t> &Spontaneous) {
   telemetry::Span Phase("analyzer.symbolize");
@@ -275,21 +263,10 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
   }
 
   //--- Step 1: symbolize raw arcs into function-level arcs. --------------
-  std::vector<FnArc> FnArcs; // Sorted by (From, To) throughout.
+  std::vector<Arc> FnArcs; // Dynamic arcs, sorted by (From, To).
   std::vector<uint64_t> SelfCalls(NumFns, 0);
   std::vector<uint64_t> Spontaneous(NumFns, 0);
   symbolizeArcs(Data.Arcs, Syms, FnArcs, SelfCalls, Spontaneous);
-
-  // Binary-search lookup into the sorted arc vector; erases are O(n) but
-  // only run for the handful of -k / cycle-break arcs.
-  auto FindFnArc = [&FnArcs](uint32_t From, uint32_t To) {
-    auto It = std::lower_bound(FnArcs.begin(), FnArcs.end(),
-                               std::pair<uint32_t, uint32_t>{From, To},
-                               fnArcKeyLess);
-    if (It != FnArcs.end() && It->From == From && It->To == To)
-      return It;
-    return FnArcs.end();
-  };
 
   //--- Step 2a: delete the arcs named by -k options. ----------------------
   for (const auto &[FromName, ToName] : Opts.DeleteArcs) {
@@ -303,62 +280,41 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
       SelfCalls[From] = 0;
       continue;
     }
-    auto It = FindFnArc(From, To);
-    if (It != FnArcs.end())
+    // A binary search and an O(n) erase, for a handful of -k arcs.
+    auto It = std::lower_bound(FnArcs.begin(), FnArcs.end(),
+                               std::pair<uint32_t, uint32_t>{From, To},
+                               arcKeyLess);
+    if (It != FnArcs.end() && It->From == From && It->To == To)
       FnArcs.erase(It);
     Report.RemovedArcs.push_back({From, To});
   }
 
   //--- Step 3: add static arcs with count zero (-c). ----------------------
+  // The graph build merges each with any dynamic arc for the same pair,
+  // which keeps its count and stays dynamic, and with its own repeats.
   if (Opts.UseStaticArcs) {
-    // Batch insert: collect the statically discovered pairs absent from
-    // the dynamic table, sort and de-duplicate them, then merge the two
-    // sorted runs — the vector stays sorted without per-arc shifting.
-    std::vector<FnArc> Extra;
     for (const StaticArc &SA : StaticArcs) {
       uint32_t Caller = Syms.findContaining(SA.CallSitePc);
       uint32_t Callee = Syms.findContaining(SA.TargetPc);
       if (Caller == NoSymbol || Callee == NoSymbol || Caller == Callee)
         continue;
-      if (FindFnArc(Caller, Callee) == FnArcs.end())
-        Extra.push_back({Caller, Callee, 0, /*Static=*/true});
+      FnArcs.push_back({Caller, Callee, 0, /*Static=*/true});
     }
-    std::sort(Extra.begin(), Extra.end(), [](const FnArc &A, const FnArc &B) {
-      return A.From != B.From ? A.From < B.From : A.To < B.To;
-    });
-    Extra.erase(std::unique(Extra.begin(), Extra.end(),
-                            [](const FnArc &A, const FnArc &B) {
-                              return A.From == B.From && A.To == B.To;
-                            }),
-                Extra.end());
-    const size_t Mid = FnArcs.size();
-    FnArcs.insert(FnArcs.end(), Extra.begin(), Extra.end());
-    std::inplace_merge(FnArcs.begin(), FnArcs.begin() + Mid, FnArcs.end(),
-                       [](const FnArc &A, const FnArc &B) {
-                         return A.From != B.From ? A.From < B.From
-                                                 : A.To < B.To;
-                       });
   }
 
   //--- Build the function-level graph. ------------------------------------
-  CallGraph G;
+  std::vector<std::string> Names(NumFns);
   for (uint32_t I = 0; I != NumFns; ++I)
-    G.addNode(Syms.symbol(I).Name);
-  for (const FnArc &A : FnArcs)
-    G.addArc(A.From, A.To, A.Count, A.Static);
+    Names[I] = Syms.symbol(I).Name;
+  CallGraph G(std::move(Names), std::move(FnArcs));
 
   //--- Step 2b: the cycle-breaking heuristic (bounded). -------------------
   if (Opts.AutoBreakCycleBound != 0) {
     FeedbackArcResult FAS =
         selectFeedbackArcsGreedy(G, Opts.AutoBreakCycleBound);
     if (!FAS.RemovedArcs.empty()) {
-      for (ArcId A : FAS.RemovedArcs) {
-        const Arc &Edge = G.arc(A);
-        Report.RemovedArcs.push_back({Edge.From, Edge.To});
-        auto It = FindFnArc(Edge.From, Edge.To);
-        if (It != FnArcs.end())
-          FnArcs.erase(It);
-      }
+      for (ArcId A : FAS.RemovedArcs)
+        Report.RemovedArcs.push_back({G.arc(A).From, G.arc(A).To});
       G = removeArcs(G, FAS.RemovedArcs);
     }
   }
@@ -392,18 +348,22 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
     Report.TotalTime += E.SelfTime;
 
   //--- Step 5: cycles and topological numbering. --------------------------
+  // Component ids are in reverse topological order (graph/Tarjan.h), so
+  // they serve directly as the nodes of the collapsed DAG (Figure 3).
   SCCResult SCCs = findSCCs(G);
   std::vector<uint32_t> TopoNums = topologicalNumbers(G, SCCs);
-  CondensedGraph Cond = collapseCycles(G, SCCs);
+  const std::vector<std::vector<NodeId>> &Members = SCCs.Components;
+  const std::vector<uint32_t> &ComponentOf = SCCs.ComponentOf;
+  const size_t NumCond = Members.size();
 
-  // Number the nontrivial components as cycles, in condensed-id order.
+  // Number the nontrivial components as cycles, in component order.
   std::vector<uint32_t> CycleOf(NumFns, 0); // 1-based; 0 = none
-  for (NodeId C = 0; C != Cond.Dag.numNodes(); ++C) {
-    if (!Cond.isCycle(C))
+  for (size_t C = 0; C != NumCond; ++C) {
+    if (Members[C].size() < 2)
       continue;
     CycleEntry Cycle;
     Cycle.Number = static_cast<uint32_t>(Report.Cycles.size() + 1);
-    for (NodeId M : Cond.Members[C]) {
+    for (NodeId M : Members[C]) {
       Cycle.Members.push_back(M);
       CycleOf[M] = Cycle.Number;
     }
@@ -419,13 +379,6 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
   }
 
   // Per-cycle aggregates: self time, external/internal calls.
-  std::vector<uint32_t> CycleIndexOfCond(Cond.Dag.numNodes(), ~0u);
-  {
-    uint32_t Next = 0;
-    for (NodeId C = 0; C != Cond.Dag.numNodes(); ++C)
-      if (Cond.isCycle(C))
-        CycleIndexOfCond[C] = Next++;
-  }
   for (CycleEntry &Cycle : Report.Cycles) {
     for (uint32_t M : Cycle.Members) {
       Cycle.SelfTime += Report.Functions[M].SelfTime;
@@ -445,17 +398,7 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
       Report.Cycles[ToCycle - 1].ExternalCalls += Edge.Count;
   }
 
-  //--- Step 6: time propagation over the condensed DAG. -------------------
-  // Calls into each condensed node from outside it (the C_e denominator).
-  const size_t NumCond = Cond.Dag.numNodes();
-  std::vector<uint64_t> CallsOfCond(NumCond, 0);
-  for (NodeId C = 0; C != NumCond; ++C) {
-    uint64_t Calls = Cond.Dag.incomingCallCount(C);
-    for (NodeId M : Cond.Members[C])
-      Calls += Spontaneous[M];
-    CallsOfCond[C] = Calls;
-  }
-
+  //--- Step 6: time propagation over the collapsed DAG. -------------------
   std::vector<double> PropSelfOf(G.numArcs(), 0.0);
   std::vector<double> PropChildOf(G.numArcs(), 0.0);
   std::vector<double> CycleChild(Report.Cycles.size(), 0.0);
@@ -464,7 +407,7 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
   telemetry::counter("analyzer.propagate.cycles").add(Report.Cycles.size());
   telemetry::counter("analyzer.propagate.graph_arcs").add(G.numArcs());
 
-  // Condensed ids are in reverse topological order, so a forward sweep
+  // Component ids are in reverse topological order, so a forward sweep
   // sees every callee before its callers: "execution time can be
   // propagated from descendants to ancestors after a single traversal of
   // each arc in the call graph" (§4).
@@ -473,36 +416,31 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
     telemetry::ScopedDuration Timer(
         telemetry::histogram("analyzer.phase.latency.propagate"));
     for (NodeId C = 0; C != NumCond; ++C) {
-      for (NodeId M : Cond.Members[C]) {
+      for (NodeId M : Members[C]) {
         for (ArcId A : G.outArcs(M)) {
           const Arc &Edge = G.arc(A);
-          NodeId D = Cond.CondensedOf[Edge.To];
-          if (D == C)
+          if (ComponentOf[Edge.To] == C)
             continue; // Intra-cycle arcs do not propagate.
-          if (Edge.Count == 0 || CallsOfCond[D] == 0)
+          // "When a child is a member of a cycle, the time shown is the
+          // appropriate fraction of the time for the whole cycle" (§5.2).
+          const uint32_t ToCycle = CycleOf[Edge.To];
+          const FunctionEntry &ChildFn = Report.Functions[Edge.To];
+          const CycleEntry *ChildCycle =
+              ToCycle != 0 ? &Report.Cycles[ToCycle - 1] : nullptr;
+          const uint64_t Calls = Report.calleeTotalCalls(Edge.To);
+          if (Edge.Count == 0 || Calls == 0)
             continue; // Static arcs "are never responsible for any time
                       // propagation" (§4).
-          double Fraction = static_cast<double>(Edge.Count) /
-                            static_cast<double>(CallsOfCond[D]);
-          double ChildSelf, ChildDesc;
-          if (Cond.isCycle(D)) {
-            // "When a child is a member of a cycle, the time shown is the
-            // appropriate fraction of the time for the whole cycle"
-            // (§5.2).
-            uint32_t CycIdx = CycleIndexOfCond[D];
-            ChildSelf = Report.Cycles[CycIdx].SelfTime;
-            ChildDesc = CycleChild[CycIdx];
-          } else {
-            const FunctionEntry &ChildFn = Report.Functions[Edge.To];
-            ChildSelf = ChildFn.SelfTime;
-            ChildDesc = ChildFn.ChildTime;
-          }
-          PropSelfOf[A] = Fraction * ChildSelf;
-          PropChildOf[A] = Fraction * ChildDesc;
+          double Fraction =
+              static_cast<double>(Edge.Count) / static_cast<double>(Calls);
+          PropSelfOf[A] =
+              Fraction * (ChildCycle ? ChildCycle->SelfTime : ChildFn.SelfTime);
+          PropChildOf[A] = Fraction * (ChildCycle ? CycleChild[ToCycle - 1]
+                                                  : ChildFn.ChildTime);
           double Inherited = PropSelfOf[A] + PropChildOf[A];
           Report.Functions[M].ChildTime += Inherited;
-          if (Cond.isCycle(C))
-            CycleChild[CycleIndexOfCond[C]] += Inherited;
+          if (CycleOf[M] != 0)
+            CycleChild[CycleOf[M] - 1] += Inherited;
         }
       }
     }
@@ -511,6 +449,7 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
     Report.Cycles[I].ChildTime = CycleChild[I];
 
   //--- Step 7: report arcs and listing orders. -----------------------------
+  Report.Arcs.reserve(G.numArcs() + NumFns);
   for (ArcId A = 0; A != G.numArcs(); ++A) {
     const Arc &Edge = G.arc(A);
     ReportArc RA;
@@ -578,9 +517,11 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
     return E.IsCycle ? Report.Cycles[E.Index].totalTime()
                      : Report.Functions[E.Index].totalTime();
   };
-  auto NameOf = [&](const ListingEntry &E) -> std::string {
-    return E.IsCycle ? format("<cycle %u>", Report.Cycles[E.Index].Number)
-                     : Report.Functions[E.Index].Name;
+  std::vector<std::string> CycleNames;
+  for (const CycleEntry &C : Report.Cycles)
+    CycleNames.push_back(format("<cycle %u>", C.Number));
+  auto NameOf = [&](const ListingEntry &E) -> std::string_view {
+    return E.IsCycle ? CycleNames[E.Index] : Report.Functions[E.Index].Name;
   };
   std::sort(Order.begin(), Order.end(),
             [&](const ListingEntry &A, const ListingEntry &B) {

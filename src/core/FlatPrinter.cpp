@@ -35,22 +35,29 @@ std::string gprof::printFlatProfile(const ProfileReport &Report,
       continue;
     Cumulative += F.SelfTime;
 
-    std::string Calls = "";
-    std::string SelfPerCall = "";
-    std::string TotalPerCall = "";
+    appendFixed(Out,
+                Report.TotalTime == 0.0
+                    ? 0.0
+                    : 100.0 * F.SelfTime / Report.TotalTime,
+                5, 1);
+    Out += ' ';
+    appendFixed(Out, Cumulative, 10, 2);
+    Out += ' ';
+    appendFixed(Out, F.SelfTime, 9, 2);
+    Out += ' ';
     if (F.totalCalls() != 0) {
-      Calls = format("%llu",
-                     static_cast<unsigned long long>(F.totalCalls()));
       double N = static_cast<double>(F.totalCalls());
-      SelfPerCall = format("%.2f", F.SelfTime * 1000.0 / N);
-      TotalPerCall = format("%.2f", F.totalTime() * 1000.0 / N);
+      appendUnsigned(Out, F.totalCalls(), 8);
+      Out += ' ';
+      appendFixed(Out, F.SelfTime * 1000.0 / N, 8, 2);
+      Out += ' ';
+      appendFixed(Out, F.totalTime() * 1000.0 / N, 8, 2);
+    } else {
+      Out.append(8 + 1 + 8 + 1 + 8, ' '); // Blank calls and ms/call.
     }
-
-    Out += format("%5s %10.2f %9.2f %8s %8s %8s  %s\n",
-                  formatPercent(F.SelfTime, Report.TotalTime).c_str(),
-                  Cumulative, F.SelfTime, Calls.c_str(),
-                  SelfPerCall.c_str(), TotalPerCall.c_str(),
-                  F.Name.c_str());
+    Out += "  ";
+    Out += F.Name;
+    Out += '\n';
   }
 
   if (Report.UnattributedTime > 0.0)
@@ -62,8 +69,11 @@ std::string gprof::printFlatProfile(const ProfileReport &Report,
 
   if (!Report.UnusedFunctions.empty() && !Opts.ShowZeroUsage) {
     Out += "\nroutines never called in this execution:\n";
-    for (uint32_t I : Report.UnusedFunctions)
-      Out += format("    %s\n", Report.Functions[I].Name.c_str());
+    for (uint32_t I : Report.UnusedFunctions) {
+      Out += "    ";
+      Out += Report.Functions[I].Name;
+      Out += '\n';
+    }
   }
   return Out;
 }

@@ -6,11 +6,13 @@
 
 #include "core/GraphPrinter.h"
 
+#include "graph/CallGraph.h"
 #include "support/Format.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <span>
+#include <string_view>
 
 using namespace gprof;
 
@@ -18,31 +20,6 @@ namespace {
 
 constexpr const char *Separator =
     "-----------------------------------------------\n";
-
-/// Positions 0..N-1 grouped by key, each group in position order: a
-/// counting sort, built once per listing.
-class Buckets {
-public:
-  template <typename KeyFn>
-  Buckets(size_t NumKeys, uint32_t N, KeyFn Key) : Start(NumKeys + 1, 0) {
-    for (uint32_t I = 0; I != N; ++I)
-      ++Start[Key(I) + 1];
-    for (size_t K = 0; K != NumKeys; ++K)
-      Start[K + 1] += Start[K];
-    Items.resize(N);
-    std::vector<uint32_t> Next(Start.begin(), Start.end() - 1);
-    for (uint32_t I = 0; I != N; ++I)
-      Items[Next[Key(I)]++] = I;
-  }
-
-  std::span<const uint32_t> operator[](uint32_t K) const {
-    return {Items.data() + Start[K], Items.data() + Start[K + 1]};
-  }
-
-private:
-  std::vector<uint32_t> Start;
-  std::vector<uint32_t> Items;
-};
 
 /// Positions in Report.Arcs of each routine's in-arcs and out-arcs.  The
 /// buckets keep Report.Arcs order: the row sorts below are not stable
@@ -80,32 +57,57 @@ bool lighterRow(const ReportArc *A, const ReportArc *B) {
 }
 
 /// A "called" column value, "N" or "N<Sep>M", formatted on the stack.
-struct Called {
-  char Text[48];
+class Called {
+public:
   explicit Called(uint64_t N, char Sep = 0, uint64_t M = 0) {
-    if (Sep == 0)
-      std::snprintf(Text, sizeof(Text), "%llu",
-                    static_cast<unsigned long long>(N));
-    else
-      std::snprintf(Text, sizeof(Text), "%llu%c%llu",
-                    static_cast<unsigned long long>(N), Sep,
-                    static_cast<unsigned long long>(M));
+    char *End = std::to_chars(Text, std::end(Text), N).ptr;
+    if (Sep != 0) {
+      *End++ = Sep;
+      End = std::to_chars(End, std::end(Text), M).ptr;
+    }
+    Size = static_cast<size_t>(End - Text);
   }
+  std::string_view text() const { return {Text, Size}; }
+
+private:
+  char Text[48];
+  size_t Size = 0;
 };
 
-/// Appends " <cycleN> [idx]\n", the tail of every row naming \p F.
-void appendRefTail(std::string &Out, const FunctionEntry &F) {
-  if (F.CycleNumber != 0)
-    appendFormat(Out, " <cycle%u>", F.CycleNumber);
-  appendFormat(Out, " [%u]\n", F.ListingIndex);
+/// Appends the self and descendants columns: "%8.2f %11.2f ".
+void appendTimes(std::string &Out, double Self, double Desc) {
+  appendFixed(Out, Self, 8, 2);
+  Out += ' ';
+  appendFixed(Out, Desc, 11, 2);
+  Out += ' ';
 }
 
-/// A parent, child or member row with self and descendant times.
-void appendTimedRow(std::string &Out, double Self, double Desc,
-                    const Called &C, const FunctionEntry &F) {
-  appendFormat(Out, "%6s %8.2f %11.2f %13s     %s", "", Self, Desc, C.Text,
-               F.Name.c_str());
-  appendRefTail(Out, F);
+/// Appends a parent, child or member row up to and including its name:
+/// "%6s %8.2f %11.2f %13s     %s", with the times blank unless \p Timed.
+void appendRow(std::string &Out, bool Timed, double Self, double Desc,
+               std::string_view Calls, std::string_view Name) {
+  Out.append(6 + 1, ' ');
+  if (Timed)
+    appendTimes(Out, Self, Desc);
+  else
+    Out.append(8 + 1 + 11 + 1, ' ');
+  appendPadLeft(Out, Calls, 13);
+  Out += "     ";
+  Out += Name;
+}
+
+/// Appends " <cycleN> [idx]\n", the tail of every row naming an entry;
+/// the cycle tag only when \p CycleNumber is not 0.
+void appendRefTail(std::string &Out, uint32_t CycleNumber,
+                   uint32_t ListingIndex) {
+  if (CycleNumber != 0) {
+    Out += " <cycle";
+    appendUnsigned(Out, CycleNumber);
+    Out += '>';
+  }
+  Out += " [";
+  appendUnsigned(Out, ListingIndex);
+  Out += "]\n";
 }
 
 /// The row for arc \p A naming routine \p Fn, one of its ends.  \p Total
@@ -113,46 +115,33 @@ void appendTimedRow(std::string &Out, double Self, double Desc,
 void appendArcRow(std::string &Out, const ProfileReport &Report,
                   const ReportArc &A, uint32_t Fn, uint64_t Total) {
   const FunctionEntry &F = Report.Functions[Fn];
-  if (!A.WithinCycle) {
-    appendTimedRow(Out, A.PropSelf, A.PropChild, Called(A.Count, '/', Total),
-                   F);
-    return;
-  }
   // Calls among cycle members are listed but carry no time (§5.2).
-  appendFormat(Out, "%6s %8s %11s %13s     %s", "", "", "",
-               Called(A.Count).Text, F.Name.c_str());
-  appendRefTail(Out, F);
+  Called C = A.WithinCycle ? Called(A.Count) : Called(A.Count, '/', Total);
+  appendRow(Out, !A.WithinCycle, A.PropSelf, A.PropChild, C.text(), F.Name);
+  appendRefTail(Out, F.CycleNumber, F.ListingIndex);
 }
 
 void appendSpontaneousRow(std::string &Out, uint64_t Count, uint64_t Total) {
-  appendFormat(Out, "%6s %8s %11s %13s     <spontaneous>\n", "", "", "",
-               Called(Count, '/', Total).Text);
+  appendRow(Out, /*Timed=*/false, 0.0, 0.0, Called(Count, '/', Total).text(),
+            "<spontaneous>\n");
 }
 
-/// The primary row of an entry up to and including \p Name.  "+n" counts
+/// The primary row of an entry, up to the name.  "+n" counts
 /// self-recursive or intra-cycle calls.
 void appendPrimaryRow(std::string &Out, const ProfileReport &Report,
                       uint32_t ListingIndex, double Self, double Desc,
-                      uint64_t Calls, uint64_t PlusCalls, const char *Name) {
-  char Index[16];
-  std::snprintf(Index, sizeof(Index), "[%u]", ListingIndex);
+                      uint64_t Calls, uint64_t PlusCalls) {
+  Out += padRight("[" + std::to_string(ListingIndex) + "]", 6);
+  Out += ' ';
   double Percent = Report.TotalTime > 0.0
                        ? 100.0 * (Self + Desc) / Report.TotalTime
                        : 0.0;
-  appendFormat(Out, "%-6s %5.1f %8.2f %11.2f %13s %s", Index, Percent, Self,
-               Desc,
-               PlusCalls != 0 ? Called(Calls, '+', PlusCalls).Text
-                              : Called(Calls).Text,
-               Name);
-}
-
-/// Denominator for an arc into \p Child: the whole cycle's external calls
-/// when the child is in a cycle, else the child's own calls.
-uint64_t calleeTotalCalls(const ProfileReport &Report, uint32_t Child) {
-  const FunctionEntry &F = Report.Functions[Child];
-  if (F.CycleNumber != 0)
-    return Report.Cycles[F.CycleNumber - 1].ExternalCalls;
-  return F.Calls;
+  appendFixed(Out, Percent, 5, 1);
+  Out += ' ';
+  appendTimes(Out, Self, Desc);
+  Called C = PlusCalls != 0 ? Called(Calls, '+', PlusCalls) : Called(Calls);
+  appendPadLeft(Out, C.text(), 13);
+  Out += ' ';
 }
 
 void printFunctionEntry(const ProfileReport &Report, const ArcIndex &Index,
@@ -162,19 +151,19 @@ void printFunctionEntry(const ProfileReport &Report, const ArcIndex &Index,
   std::vector<const ReportArc *> Parents = rowArcs(Report, Index.Into[Fn]);
   std::sort(Parents.begin(), Parents.end(), lighterRow);
 
-  const uint64_t TotalCalls = calleeTotalCalls(Report, Fn);
+  const uint64_t TotalCalls = Report.calleeTotalCalls(Fn);
   if (F.SpontaneousCalls != 0)
     appendSpontaneousRow(Out, F.SpontaneousCalls, TotalCalls);
   else if (Parents.empty() && F.Calls == 0)
-    appendFormat(Out, "%6s %8s %11s %13s     <never called>\n", "", "", "",
-                 "");
+    appendRow(Out, /*Timed=*/false, 0.0, 0.0, "", "<never called>\n");
   for (const ReportArc *A : Parents)
     appendArcRow(Out, Report, *A, A->Parent, TotalCalls);
 
   // Self-recursive calls "do not affect the propagation of time".
   appendPrimaryRow(Out, Report, F.ListingIndex, F.SelfTime, F.ChildTime,
-                   F.Calls, F.SelfCalls, F.Name.c_str());
-  appendRefTail(Out, F);
+                   F.Calls, F.SelfCalls);
+  Out += F.Name;
+  appendRefTail(Out, F.CycleNumber, F.ListingIndex);
 
   std::vector<const ReportArc *> Children = rowArcs(Report, Index.OutOf[Fn]);
   std::sort(Children.begin(), Children.end(),
@@ -182,8 +171,7 @@ void printFunctionEntry(const ProfileReport &Report, const ArcIndex &Index,
               return lighterRow(B, A);
             });
   for (const ReportArc *A : Children)
-    appendArcRow(Out, Report, *A, A->Child,
-                 calleeTotalCalls(Report, A->Child));
+    appendArcRow(Out, Report, *A, A->Child, Report.calleeTotalCalls(A->Child));
   Out += Separator;
 }
 
@@ -210,11 +198,12 @@ void printCycleEntry(const ProfileReport &Report, const ArcIndex &Index,
   for (const ReportArc *A : Parents)
     appendArcRow(Out, Report, *A, A->Parent, C.ExternalCalls);
 
-  char Name[48];
-  std::snprintf(Name, sizeof(Name), "<cycle %u as a whole>", C.Number);
   appendPrimaryRow(Out, Report, C.ListingIndex, C.SelfTime, C.ChildTime,
-                   C.ExternalCalls, C.InternalCalls, Name);
-  appendFormat(Out, " [%u]\n", C.ListingIndex);
+                   C.ExternalCalls, C.InternalCalls);
+  Out += "<cycle ";
+  appendUnsigned(Out, C.Number);
+  Out += " as a whole>";
+  appendRefTail(Out, /*CycleNumber=*/0, C.ListingIndex);
 
   // "members of the cycle are listed in place of the children", each with
   // the number of calls it received from within the cycle.
@@ -224,8 +213,9 @@ void printCycleEntry(const ProfileReport &Report, const ArcIndex &Index,
       if (Report.Arcs[P].WithinCycle)
         CallsFromCycle += Report.Arcs[P].Count;
     const FunctionEntry &FM = Report.Functions[M];
-    appendTimedRow(Out, FM.SelfTime, FM.ChildTime, Called(CallsFromCycle),
-                   FM);
+    appendRow(Out, /*Timed=*/true, FM.SelfTime, FM.ChildTime,
+              Called(CallsFromCycle).text(), FM.Name);
+    appendRefTail(Out, FM.CycleNumber, FM.ListingIndex);
   }
   Out += Separator;
 }
@@ -300,9 +290,13 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
               [&](uint32_t A, uint32_t B) {
                 return Report.Functions[A].Name < Report.Functions[B].Name;
               });
-    for (uint32_t I : ByName)
-      appendFormat(Out, "  [%u] %s\n", Report.Functions[I].ListingIndex,
-                   Report.Functions[I].Name.c_str());
+    for (uint32_t I : ByName) {
+      Out += "  [";
+      appendUnsigned(Out, Report.Functions[I].ListingIndex);
+      Out += "] ";
+      Out += Report.Functions[I].Name;
+      Out += '\n';
+    }
   }
   return Out;
 }

@@ -151,6 +151,14 @@ struct ProfileReport {
         return I;
     return ~0u;
   }
+
+  /// The C_e denominator of an arc into \p Child: the whole cycle's
+  /// external calls when the child is in a cycle, else the child's calls.
+  uint64_t calleeTotalCalls(uint32_t Child) const {
+    const FunctionEntry &F = Functions[Child];
+    return F.CycleNumber != 0 ? Cycles[F.CycleNumber - 1].ExternalCalls
+                              : F.Calls;
+  }
 };
 
 } // namespace gprof

@@ -8,41 +8,57 @@
 
 #include "graph/Tarjan.h"
 
+#include <algorithm>
+
 using namespace gprof;
 
-NodeId CallGraph::addNode(std::string Name) {
-  NodeId Id = static_cast<NodeId>(Names.size());
-  Names.push_back(std::move(Name));
-  Out.emplace_back();
-  In.emplace_back();
-  return Id;
+namespace {
+
+bool arcKeyLess(const Arc &A, const Arc &B) {
+  return A.From != B.From ? A.From < B.From : A.To < B.To;
 }
 
-ArcId CallGraph::addArc(NodeId From, NodeId To, uint64_t Count,
-                        bool IsStatic) {
-  assert(From < Names.size() && To < Names.size() && "node id out of range");
-  auto Key = std::make_pair(From, To);
-  auto It = ArcIndex.find(Key);
-  if (It != ArcIndex.end()) {
-    Arc &A = Arcs[It->second];
-    A.Count += Count;
-    if (!IsStatic)
-      A.Static = false;
-    return It->second;
+/// Sorts \p Arcs by (From, To) and merges each run of one pair into its
+/// first arc.
+std::vector<Arc> sortAndMerge(std::vector<Arc> Arcs,
+                              [[maybe_unused]] size_t NumNodes) {
+  if (!std::is_sorted(Arcs.begin(), Arcs.end(), arcKeyLess))
+    std::sort(Arcs.begin(), Arcs.end(), arcKeyLess);
+  size_t Kept = 0;
+  for (const Arc &A : Arcs) {
+    assert(A.From < NumNodes && A.To < NumNodes && "node id out of range");
+    if (Kept != 0 && Arcs[Kept - 1].From == A.From &&
+        Arcs[Kept - 1].To == A.To) {
+      Arcs[Kept - 1].Count += A.Count;
+      Arcs[Kept - 1].Static &= A.Static;
+      continue;
+    }
+    Arcs[Kept++] = A;
   }
-  ArcId Id = static_cast<ArcId>(Arcs.size());
-  Arcs.push_back({From, To, Count, IsStatic});
-  Out[From].push_back(Id);
-  In[To].push_back(Id);
-  ArcIndex.emplace(Key, Id);
-  return Id;
+  Arcs.resize(Kept);
+  return Arcs;
 }
+
+} // namespace
+
+CallGraph::CallGraph(std::vector<std::string> NodeNames,
+                     std::vector<Arc> ArcList)
+    : Names(std::move(NodeNames)),
+      Arcs(sortAndMerge(std::move(ArcList), Names.size())),
+      Out(Names.size(), static_cast<uint32_t>(Arcs.size()),
+          [this](uint32_t A) { return Arcs[A].From; }),
+      In(Names.size(), static_cast<uint32_t>(Arcs.size()),
+         [this](uint32_t A) { return Arcs[A].To; }) {}
 
 ArcId CallGraph::findArc(NodeId From, NodeId To) const {
-  auto It = ArcIndex.find(std::make_pair(From, To));
-  if (It == ArcIndex.end())
+  assert(From < Names.size() && "node id out of range");
+  std::span<const ArcId> Ids = Out[From];
+  auto It = std::lower_bound(
+      Ids.begin(), Ids.end(), To,
+      [&](ArcId A, NodeId T) { return Arcs[A].To < T; });
+  if (It == Ids.end() || Arcs[*It].To != To)
     return InvalidNode;
-  return It->second;
+  return *It;
 }
 
 NodeId CallGraph::findNode(const std::string &Name) const {

@@ -12,6 +12,11 @@
 /// the statically-discovered arcs of §4: they shape the graph (and may
 /// complete cycles) but never carry propagated time.
 ///
+/// The graph is immutable and built in one call, in compressed sparse row
+/// form: arcs sorted by (From, To), and arc ids bucketed by caller and by
+/// callee.  Every adjacency list is a contiguous slice, and building costs
+/// one sort and two counting sorts.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPROF_GRAPH_CALLGRAPH_H
@@ -19,7 +24,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,8 +38,32 @@ using ArcId = uint32_t;
 /// Sentinel for "no node".
 inline constexpr NodeId InvalidNode = ~static_cast<NodeId>(0);
 
-/// One caller→callee arc.  At most one Arc object exists per (From, To)
-/// pair; repeated insertions accumulate into Count.
+/// Positions 0..N-1 grouped by key, each group in position order: a
+/// counting sort.
+class Buckets {
+public:
+  template <typename KeyFn>
+  Buckets(size_t NumKeys, uint32_t N, KeyFn Key) : Start(NumKeys + 1, 0) {
+    for (uint32_t I = 0; I != N; ++I)
+      ++Start[Key(I) + 1];
+    for (size_t K = 0; K != NumKeys; ++K)
+      Start[K + 1] += Start[K];
+    Items.resize(N);
+    std::vector<uint32_t> Next(Start.begin(), Start.end() - 1);
+    for (uint32_t I = 0; I != N; ++I)
+      Items[Next[Key(I)]++] = I;
+  }
+
+  std::span<const uint32_t> operator[](uint32_t K) const {
+    return {Items.data() + Start[K], Items.data() + Start[K + 1]};
+  }
+
+private:
+  std::vector<uint32_t> Start;
+  std::vector<uint32_t> Items;
+};
+
+/// One caller→callee arc.
 struct Arc {
   NodeId From = InvalidNode;
   NodeId To = InvalidNode;
@@ -45,19 +74,18 @@ struct Arc {
   bool Static = false;
 };
 
-/// A directed graph of named nodes with weighted, deduplicated arcs and
-/// adjacency lists in both directions.
+/// An immutable directed graph of named nodes with weighted, deduplicated
+/// arcs and adjacency slices in both directions.
 class CallGraph {
 public:
-  /// Adds a node named \p Name and returns its id.  Names need not be
-  /// unique (the profiler disambiguates by address); lookup helpers return
-  /// the first match.
-  NodeId addNode(std::string Name);
+  /// An empty graph.
+  CallGraph() : CallGraph({}, {}) {}
 
-  /// Adds \p Count traversals to the (From, To) arc, creating it if needed.
-  /// \p IsStatic only marks newly created arcs; adding a dynamic count to a
-  /// static arc clears its Static flag.
-  ArcId addArc(NodeId From, NodeId To, uint64_t Count, bool IsStatic = false);
+  /// Builds the graph over nodes named \p Names (need not be unique; the
+  /// profiler disambiguates by address) from \p Arcs.  Repeated (From, To)
+  /// pairs coalesce into one arc: counts sum, and Static stays set only if
+  /// every copy is static.  Arc ids follow (From, To) order.
+  CallGraph(std::vector<std::string> Names, std::vector<Arc> Arcs);
 
   /// Returns the arc id for (From, To) or InvalidNode if absent.
   ArcId findArc(NodeId From, NodeId To) const;
@@ -70,24 +98,23 @@ public:
     return Names[N];
   }
 
+  /// Every node's name, indexed by NodeId.
+  const std::vector<std::string> &nodeNames() const { return Names; }
+
   const Arc &arc(ArcId A) const {
     assert(A < Arcs.size() && "arc id out of range");
     return Arcs[A];
   }
-  Arc &arc(ArcId A) {
-    assert(A < Arcs.size() && "arc id out of range");
-    return Arcs[A];
-  }
 
-  /// Ids of arcs leaving \p N (N as caller).
-  const std::vector<ArcId> &outArcs(NodeId N) const {
-    assert(N < Out.size() && "node id out of range");
+  /// Ids of arcs leaving \p N (N as caller), in increasing To order.
+  std::span<const ArcId> outArcs(NodeId N) const {
+    assert(N < Names.size() && "node id out of range");
     return Out[N];
   }
 
-  /// Ids of arcs entering \p N (N as callee).
-  const std::vector<ArcId> &inArcs(NodeId N) const {
-    assert(N < In.size() && "node id out of range");
+  /// Ids of arcs entering \p N (N as callee), in increasing From order.
+  std::span<const ArcId> inArcs(NodeId N) const {
+    assert(N < Names.size() && "node id out of range");
     return In[N];
   }
 
@@ -104,11 +131,11 @@ public:
 
 private:
   std::vector<std::string> Names;
+  /// Sorted by (From, To), one arc per pair.
   std::vector<Arc> Arcs;
-  std::vector<std::vector<ArcId>> Out;
-  std::vector<std::vector<ArcId>> In;
-  /// (From, To) → ArcId, for deduplication.
-  std::map<std::pair<NodeId, NodeId>, ArcId> ArcIndex;
+  /// Arc ids by caller and by callee.  Both keep id order, so out-arcs are
+  /// in callee order and in-arcs in caller order.
+  Buckets Out, In;
 };
 
 } // namespace gprof

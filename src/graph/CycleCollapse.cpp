@@ -10,32 +10,23 @@
 
 using namespace gprof;
 
-CondensedGraph gprof::collapseCycles(const CallGraph &G,
-                                     const SCCResult &SCCs) {
-  CondensedGraph Result;
-  Result.Members = SCCs.Components;
-  Result.CondensedOf.resize(G.numNodes());
-
+CallGraph gprof::collapseCycles(const CallGraph &G, const SCCResult &SCCs) {
+  std::vector<std::string> Names;
+  Names.reserve(SCCs.Components.size());
   for (size_t C = 0; C != SCCs.Components.size(); ++C) {
     const std::vector<NodeId> &Members = SCCs.Components[C];
-    std::string Name = Members.size() == 1
-                           ? G.nodeName(Members.front())
-                           : format("<cycle %zu>", C);
-    NodeId Id = Result.Dag.addNode(std::move(Name));
-    assert(Id == static_cast<NodeId>(C) &&
-           "condensed ids must equal component indices");
-    (void)Id;
-    for (NodeId M : Members)
-      Result.CondensedOf[M] = static_cast<NodeId>(C);
+    Names.push_back(Members.size() == 1 ? G.nodeName(Members.front())
+                                        : format("<cycle %zu>", C));
   }
 
+  std::vector<Arc> Arcs;
   for (ArcId A = 0; A != G.numArcs(); ++A) {
     const Arc &Edge = G.arc(A);
-    NodeId FromC = Result.CondensedOf[Edge.From];
-    NodeId ToC = Result.CondensedOf[Edge.To];
+    NodeId FromC = SCCs.ComponentOf[Edge.From];
+    NodeId ToC = SCCs.ComponentOf[Edge.To];
     if (FromC == ToC)
       continue; // Calls among cycle members (and self calls) collapse away.
-    Result.Dag.addArc(FromC, ToC, Edge.Count, Edge.Static);
+    Arcs.push_back({FromC, ToC, Edge.Count, Edge.Static});
   }
-  return Result;
+  return CallGraph(std::move(Names), std::move(Arcs));
 }

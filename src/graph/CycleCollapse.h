@@ -21,32 +21,18 @@
 #include "graph/CallGraph.h"
 #include "graph/Tarjan.h"
 
-#include <vector>
-
 namespace gprof {
 
-/// The DAG obtained by collapsing every SCC of a CallGraph.
-///
-/// Condensed node ids coincide with SCC component indices, so they are in
-/// reverse topological order: arcs go from higher condensed ids to lower
-/// ones, and a forward sweep over ids visits callees before callers.
-struct CondensedGraph {
-  /// The condensed DAG.  Node K's name is the original node's name for
-  /// singleton components, or "<cycle K>" for collapsed cycles.  Arc counts
-  /// are the sums of the inter-component arc counts they replace; arcs
-  /// internal to a component are dropped.
-  CallGraph Dag;
-  /// Members (original node ids) of each condensed node.
-  std::vector<std::vector<NodeId>> Members;
-  /// Condensed node id of each original node.
-  std::vector<NodeId> CondensedOf;
-
-  /// True if condensed node \p C is a collapsed cycle of 2+ routines.
-  bool isCycle(NodeId C) const { return Members[C].size() > 1; }
-};
-
 /// Collapses the SCCs of \p G (as computed by findSCCs) into a DAG.
-CondensedGraph collapseCycles(const CallGraph &G, const SCCResult &SCCs);
+///
+/// Node K of the DAG is component K of \p SCCs, so SCCResult::ComponentOf
+/// maps routines to DAG nodes and the ids are in reverse topological
+/// order: arcs go from higher ids to lower ones, and a forward sweep over
+/// ids visits callees before callers.  Node K's name is the routine's name
+/// for a singleton component, or "<cycle K>" for a collapsed cycle.  Arc
+/// counts are the sums of the inter-component arc counts they replace;
+/// arcs internal to a component are dropped.
+CallGraph collapseCycles(const CallGraph &G, const SCCResult &SCCs);
 
 } // namespace gprof
 

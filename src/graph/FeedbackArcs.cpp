@@ -13,69 +13,26 @@
 
 using namespace gprof;
 
-CallGraph gprof::removeArcs(const CallGraph &G,
-                            const std::vector<ArcId> &Removed) {
-  std::set<ArcId> Dropped(Removed.begin(), Removed.end());
-  CallGraph Out;
-  for (NodeId N = 0; N != G.numNodes(); ++N)
-    Out.addNode(G.nodeName(N));
-  for (ArcId A = 0; A != G.numArcs(); ++A) {
-    if (Dropped.count(A))
-      continue;
-    const Arc &Edge = G.arc(A);
-    Out.addArc(Edge.From, Edge.To, Edge.Count, Edge.Static);
-  }
-  return Out;
-}
-
 namespace {
 
-/// True if the graph restricted to arcs not in \p Dropped has no cycle of
-/// length >= 2 (self arcs are ignored throughout cycle breaking).
-bool isAcyclicIgnoringSelfArcs(const CallGraph &G,
-                               const std::set<ArcId> &Dropped) {
-  // Kahn's algorithm over the restricted arc set.
-  std::vector<uint32_t> InDegree(G.numNodes(), 0);
-  for (ArcId A = 0; A != G.numArcs(); ++A) {
-    const Arc &Edge = G.arc(A);
-    if (Edge.From == Edge.To || Dropped.count(A))
-      continue;
-    ++InDegree[Edge.To];
-  }
-  std::vector<NodeId> Ready;
-  for (NodeId N = 0; N != G.numNodes(); ++N)
-    if (InDegree[N] == 0)
-      Ready.push_back(N);
-  size_t Seen = 0;
-  while (!Ready.empty()) {
-    NodeId N = Ready.back();
-    Ready.pop_back();
-    ++Seen;
-    for (ArcId A : G.outArcs(N)) {
-      const Arc &Edge = G.arc(A);
-      if (Edge.From == Edge.To || Dropped.count(A))
-        continue;
-      if (--InDegree[Edge.To] == 0)
-        Ready.push_back(Edge.To);
-    }
-  }
-  return Seen == G.numNodes();
+/// A copy of \p G keeping the arcs whose ids satisfy \p Keep.
+template <typename KeepFn>
+CallGraph filterArcs(const CallGraph &G, KeepFn Keep) {
+  std::vector<Arc> Arcs;
+  for (ArcId A = 0; A != G.numArcs(); ++A)
+    if (Keep(A))
+      Arcs.push_back(G.arc(A));
+  return CallGraph(G.nodeNames(), std::move(Arcs));
 }
 
 /// Collects arcs inside nontrivial SCCs of the graph restricted to arcs not
-/// in \p Dropped.
+/// in \p Dropped.  None remain exactly when that graph has no cycle of
+/// length >= 2 (self arcs are ignored throughout cycle breaking).
 std::vector<ArcId> intraSCCArcs(const CallGraph &G,
                                 const std::set<ArcId> &Dropped) {
   // Build a filtered copy, then map SCCs back through original arc ids.
-  CallGraph Filtered;
-  for (NodeId N = 0; N != G.numNodes(); ++N)
-    Filtered.addNode(G.nodeName(N));
-  for (ArcId A = 0; A != G.numArcs(); ++A) {
-    if (Dropped.count(A))
-      continue;
-    const Arc &Edge = G.arc(A);
-    Filtered.addArc(Edge.From, Edge.To, Edge.Count, Edge.Static);
-  }
+  CallGraph Filtered =
+      filterArcs(G, [&](ArcId A) { return Dropped.count(A) == 0; });
   SCCResult SCCs = findSCCs(Filtered);
   std::vector<ArcId> Candidates;
   for (ArcId A = 0; A != G.numArcs(); ++A) {
@@ -98,12 +55,12 @@ std::vector<ArcId> intraSCCArcs(const CallGraph &G,
 /// avoiding permutations of the same set.
 bool searchExact(const CallGraph &G, std::set<ArcId> &Dropped,
                  std::vector<ArcId> &Chosen, unsigned Depth, ArcId MinArc) {
-  if (isAcyclicIgnoringSelfArcs(G, Dropped))
+  // Only arcs still participating in some cycle are worth trying.
+  std::vector<ArcId> Candidates = intraSCCArcs(G, Dropped);
+  if (Candidates.empty())
     return true;
   if (Depth == 0)
     return false;
-  // Only arcs still participating in some cycle are worth trying.
-  std::vector<ArcId> Candidates = intraSCCArcs(G, Dropped);
   for (ArcId A : Candidates) {
     if (A < MinArc)
       continue;
@@ -118,6 +75,12 @@ bool searchExact(const CallGraph &G, std::set<ArcId> &Dropped,
 }
 
 } // namespace
+
+CallGraph gprof::removeArcs(const CallGraph &G,
+                            const std::vector<ArcId> &Removed) {
+  std::set<ArcId> Dropped(Removed.begin(), Removed.end());
+  return filterArcs(G, [&](ArcId A) { return Dropped.count(A) == 0; });
+}
 
 FeedbackArcResult gprof::selectFeedbackArcsGreedy(const CallGraph &G,
                                                   unsigned MaxArcs) {
@@ -137,7 +100,7 @@ FeedbackArcResult gprof::selectFeedbackArcsGreedy(const CallGraph &G,
     Result.RemovedArcs.push_back(Best);
     Result.RemovedCount += G.arc(Best).Count;
   }
-  Result.Acyclic = isAcyclicIgnoringSelfArcs(G, Dropped);
+  Result.Acyclic = intraSCCArcs(G, Dropped).empty();
   return Result;
 }
 
@@ -145,7 +108,7 @@ FeedbackArcResult gprof::selectFeedbackArcsExact(const CallGraph &G,
                                                  unsigned MaxArcs) {
   FeedbackArcResult Result;
   std::set<ArcId> Dropped;
-  if (isAcyclicIgnoringSelfArcs(G, Dropped)) {
+  if (intraSCCArcs(G, Dropped).empty()) {
     Result.Acyclic = true;
     return Result;
   }

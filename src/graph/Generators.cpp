@@ -25,16 +25,17 @@ CallGraph gprof::makeRandomDag(uint32_t NumNodes, uint32_t NumArcs,
   for (uint32_t I = NumNodes - 1; I > 0; --I)
     std::swap(Order[I], Order[Rng.nextBelow(I + 1)]);
 
-  CallGraph G;
+  std::vector<std::string> Names;
   for (uint32_t N = 0; N != NumNodes; ++N)
-    G.addNode(format("f%u", N));
+    Names.push_back(format("f%u", N));
+  std::vector<Arc> Arcs;
   for (uint32_t A = 0; A != NumArcs; ++A) {
     uint32_t I = static_cast<uint32_t>(Rng.nextBelow(NumNodes - 1));
     uint32_t J =
         static_cast<uint32_t>(Rng.nextInRange(I + 1, NumNodes - 1));
-    G.addArc(Order[I], Order[J], Rng.nextInRange(1, MaxCount));
+    Arcs.push_back({Order[I], Order[J], Rng.nextInRange(1, MaxCount)});
   }
-  return G;
+  return CallGraph(std::move(Names), std::move(Arcs));
 }
 
 CallGraph gprof::makeRandomGraph(uint32_t NumNodes, uint32_t NumArcs,
@@ -42,17 +43,18 @@ CallGraph gprof::makeRandomGraph(uint32_t NumNodes, uint32_t NumArcs,
                                  uint64_t Seed) {
   assert(NumNodes >= 1 && "graph needs nodes");
   SplitMix64 Rng(Seed);
-  CallGraph G;
+  std::vector<std::string> Names;
   for (uint32_t N = 0; N != NumNodes; ++N)
-    G.addNode(format("f%u", N));
+    Names.push_back(format("f%u", N));
+  std::vector<Arc> Arcs;
   for (uint32_t A = 0; A != NumArcs; ++A) {
     uint32_t From = static_cast<uint32_t>(Rng.nextBelow(NumNodes));
     uint32_t To = Rng.nextBool(SelfArcProb)
                       ? From
                       : static_cast<uint32_t>(Rng.nextBelow(NumNodes));
-    G.addArc(From, To, Rng.nextInRange(1, MaxCount));
+    Arcs.push_back({From, To, Rng.nextInRange(1, MaxCount)});
   }
-  return G;
+  return CallGraph(std::move(Names), std::move(Arcs));
 }
 
 CallGraph gprof::makeKernelLikeGraph(uint32_t NumSubsystems,
@@ -60,10 +62,11 @@ CallGraph gprof::makeKernelLikeGraph(uint32_t NumSubsystems,
                                      uint32_t BackArcs, uint64_t Seed) {
   assert(NumSubsystems >= 1 && SubsystemSize >= 2 && "degenerate kernel");
   SplitMix64 Rng(Seed);
-  CallGraph G;
+  std::vector<std::string> Names;
   for (uint32_t S = 0; S != NumSubsystems; ++S)
     for (uint32_t R = 0; R != SubsystemSize; ++R)
-      G.addNode(format("sub%u_fn%u", S, R));
+      Names.push_back(format("sub%u_fn%u", S, R));
+  std::vector<Arc> Arcs;
 
   auto NodeOf = [&](uint32_t S, uint32_t R) { return S * SubsystemSize + R; };
 
@@ -74,15 +77,15 @@ CallGraph gprof::makeKernelLikeGraph(uint32_t NumSubsystems,
       for (uint32_t F = 0; F != Fanout; ++F) {
         uint32_t To =
             static_cast<uint32_t>(Rng.nextInRange(R + 1, SubsystemSize - 1));
-        G.addArc(NodeOf(S, R), NodeOf(S, To),
-                 Rng.nextInRange(1000, 100000));
+        Arcs.push_back(
+            {NodeOf(S, R), NodeOf(S, To), Rng.nextInRange(1000, 100000)});
       }
     }
 
   // Heavy forward arcs between consecutive subsystems (entry points).
   for (uint32_t S = 0; S + 1 != NumSubsystems; ++S)
-    G.addArc(NodeOf(S, SubsystemSize - 1), NodeOf(S + 1, 0),
-             Rng.nextInRange(1000, 100000));
+    Arcs.push_back({NodeOf(S, SubsystemSize - 1), NodeOf(S + 1, 0),
+                    Rng.nextInRange(1000, 100000)});
 
   // A few low-count back arcs close one large cycle across subsystems, as
   // in the kernel profiles the retrospective describes.
@@ -96,31 +99,34 @@ CallGraph gprof::makeKernelLikeGraph(uint32_t NumSubsystems,
         NodeOf(ToS, static_cast<uint32_t>(Rng.nextBelow(SubsystemSize)));
     if (From == To)
       To = NodeOf(ToS, 0) == From ? NodeOf(ToS, 1) : NodeOf(ToS, 0);
-    G.addArc(From, To, Rng.nextInRange(1, 5));
+    Arcs.push_back({From, To, Rng.nextInRange(1, 5)});
   }
-  return G;
+  return CallGraph(std::move(Names), std::move(Arcs));
 }
 
 CallGraph gprof::makeLayeredGraph(uint32_t Layers, uint32_t Width,
                                   uint32_t MaxFanout, uint64_t Seed) {
   assert(Layers >= 1 && Width >= 1 && MaxFanout >= 1 && "degenerate layout");
   SplitMix64 Rng(Seed);
-  CallGraph G;
-  NodeId Main = G.addNode("main");
+  std::vector<std::string> Names{"main"};
+  const NodeId Main = 0;
   std::vector<std::vector<NodeId>> Layer(Layers);
   for (uint32_t L = 0; L != Layers; ++L)
-    for (uint32_t W = 0; W != Width; ++W)
-      Layer[L].push_back(G.addNode(format("l%u_fn%u", L, W)));
+    for (uint32_t W = 0; W != Width; ++W) {
+      Layer[L].push_back(static_cast<NodeId>(Names.size()));
+      Names.push_back(format("l%u_fn%u", L, W));
+    }
 
+  std::vector<Arc> Arcs;
   for (NodeId N : Layer[0])
-    G.addArc(Main, N, Rng.nextInRange(1, 100));
+    Arcs.push_back({Main, N, Rng.nextInRange(1, 100)});
   for (uint32_t L = 0; L + 1 != Layers; ++L)
     for (NodeId From : Layer[L]) {
       uint32_t Fanout = static_cast<uint32_t>(Rng.nextInRange(1, MaxFanout));
       for (uint32_t F = 0; F != Fanout; ++F) {
         NodeId To = Layer[L + 1][Rng.nextBelow(Width)];
-        G.addArc(From, To, Rng.nextInRange(1, 10000));
+        Arcs.push_back({From, To, Rng.nextInRange(1, 10000)});
       }
     }
-  return G;
+  return CallGraph(std::move(Names), std::move(Arcs));
 }

@@ -46,7 +46,7 @@ SCCResult gprof::findSCCs(const CallGraph &G) {
     while (!DFS.empty()) {
       Frame &F = DFS.back();
       NodeId V = F.Node;
-      const std::vector<ArcId> &Arcs = G.outArcs(V);
+      std::span<const ArcId> Arcs = G.outArcs(V);
 
       if (F.NextArc < Arcs.size()) {
         NodeId W = G.arc(Arcs[F.NextArc++]).To;

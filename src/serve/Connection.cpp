@@ -69,6 +69,23 @@ Expected<std::optional<Frame>> Connection::readFrame() {
   return std::optional<Frame>(std::move(F));
 }
 
+void Connection::reject(const std::string &Hint) {
+  // Best effort throughout: a peer that is already gone needs no answer.
+  (void)static_cast<bool>(writeRetry(Hint));
+  (void)static_cast<bool>(Sock.shutdownWrite());
+  // One default socket buffer's worth; a peer still streaming past it is
+  // reset rather than holding up the caller.
+  constexpr size_t DrainBudget = 256 * 1024;
+  uint8_t Buf[4096];
+  for (size_t Drained = 0; Drained < DrainBudget && inputPending();) {
+    auto N = Sock.recvSome(Buf, sizeof(Buf));
+    if (!N || *N == 0)
+      break; // A failed read, or the peer closed as well.
+    Drained += *N;
+  }
+  close();
+}
+
 bool Connection::inputPending() const {
   auto Ready = Sock.waitReadable(0);
   return Ready && *Ready;

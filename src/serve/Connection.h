@@ -70,6 +70,14 @@ public:
     return writeFrame(MsgType::Retry, encodeText(Hint));
   }
 
+  /// Turns the peer away: writes a RETRY frame carrying \p Hint, shuts
+  /// down the write side, discards the request bytes already queued and
+  /// closes.  Closing with unread input would reset the connection, and
+  /// the peer's read after the RETRY frame would fail instead of seeing
+  /// end-of-stream.  Never waits on the peer: it reads only while a
+  /// zero-timeout poll reports input, up to a fixed budget.
+  void reject(const std::string &Hint);
+
   /// True when the peer has already sent bytes or closed, so readFrame()
   /// would not wait.
   bool inputPending() const;

@@ -157,12 +157,12 @@ void ServeServer::acceptLoop() {
       Rejected.add(1);
       EventLog::instance().emit("connection.rejected",
                                 jsonIntField("capacity", Capacity));
-      (void)Conn->writeRetry(format(
+      Conn->reject(format(
           "server at capacity (%u connections); retry with backoff",
           Capacity));
       EventLog::instance().emit("retry.issued",
                                 jsonIntField("capacity", Capacity));
-      continue; // Conn closes as the shared_ptr drops.
+      continue;
     }
     Active.fetch_add(1, std::memory_order_relaxed);
     Accepted.add(1);

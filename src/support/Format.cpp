@@ -6,43 +6,29 @@
 
 #include "support/Format.h"
 
+#include <cassert>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace gprof;
 
-void gprof::appendFormatV(std::string &Out, const char *Fmt, va_list Args) {
-  // Nearly every listing field fits the stack buffer, so one vsnprintf
-  // pass suffices; only longer output pays for a second, sized pass.
+std::string gprof::formatV(const char *Fmt, va_list Args) {
+  // Most output fits the stack buffer, so one vsnprintf pass suffices;
+  // only longer output pays for a second, sized pass.
   char Buf[256];
   va_list Copy;
   va_copy(Copy, Args);
   int Needed = std::vsnprintf(Buf, sizeof(Buf), Fmt, Copy);
   va_end(Copy);
   if (Needed < 0)
-    return;
-  if (static_cast<size_t>(Needed) < sizeof(Buf)) {
-    Out.append(Buf, static_cast<size_t>(Needed));
-    return;
-  }
-  size_t Old = Out.size();
-  Out.resize(Old + static_cast<size_t>(Needed));
-  std::vsnprintf(Out.data() + Old, static_cast<size_t>(Needed) + 1, Fmt,
-                 Args);
-}
-
-void gprof::appendFormat(std::string &Out, const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  appendFormatV(Out, Fmt, Args);
-  va_end(Args);
-}
-
-std::string gprof::formatV(const char *Fmt, va_list Args) {
-  std::string Result;
-  appendFormatV(Result, Fmt, Args);
+    return std::string();
+  if (static_cast<size_t>(Needed) < sizeof(Buf))
+    return std::string(Buf, static_cast<size_t>(Needed));
+  std::string Result(static_cast<size_t>(Needed), '\0');
+  std::vsnprintf(Result.data(), Result.size() + 1, Fmt, Args);
   return Result;
 }
 
@@ -54,10 +40,35 @@ std::string gprof::format(const char *Fmt, ...) {
   return Result;
 }
 
+void gprof::appendFixed(std::string &Out, double Value, unsigned Width,
+                        unsigned Precision) {
+  // Room for DBL_MAX's 309 integer digits, a sign, the point and the
+  // fraction.
+  char Buf[384];
+  assert(Precision <= 64 && "precision exceeds the field buffer");
+  auto Result = std::to_chars(Buf, Buf + sizeof(Buf), Value,
+                              std::chars_format::fixed,
+                              static_cast<int>(Precision));
+  appendPadLeft(Out, std::string_view(Buf, Result.ptr - Buf), Width);
+}
+
+void gprof::appendUnsigned(std::string &Out, uint64_t Value, unsigned Width) {
+  char Buf[20];
+  auto Result = std::to_chars(Buf, Buf + sizeof(Buf), Value);
+  appendPadLeft(Out, std::string_view(Buf, Result.ptr - Buf), Width);
+}
+
+void gprof::appendPadLeft(std::string &Out, std::string_view S,
+                          unsigned Width) {
+  if (S.size() < Width)
+    Out.append(Width - S.size(), ' ');
+  Out += S;
+}
+
 std::string gprof::padLeft(std::string_view S, unsigned Width) {
-  if (S.size() >= Width)
-    return std::string(S);
-  return std::string(Width - S.size(), ' ') + std::string(S);
+  std::string Out;
+  appendPadLeft(Out, S, Width);
+  return Out;
 }
 
 std::string gprof::padRight(std::string_view S, unsigned Width) {

@@ -9,12 +9,16 @@
 /// and alignment helpers the profile listings need.  The gprof output format
 /// is fixed-width character tables (paper §5), so precise padding matters.
 ///
+/// The append* helpers write a field with std::to_chars, byte for byte as
+/// the printf conversion each one names, without parsing a format string.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPROF_SUPPORT_FORMAT_H
 #define GPROF_SUPPORT_FORMAT_H
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,12 +32,18 @@ std::string format(const char *Fmt, ...)
 /// vprintf-style formatting into a std::string.
 std::string formatV(const char *Fmt, va_list Args);
 
-/// printf-style formatting appended to \p Out (no temporary string).
-void appendFormat(std::string &Out, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
+/// Appends \p Value with \p Precision digits after the point, right-aligned
+/// in \p Width columns: printf's "%*.*f".
+void appendFixed(std::string &Out, double Value, unsigned Width,
+                 unsigned Precision);
 
-/// vprintf-style formatting appended to \p Out.
-void appendFormatV(std::string &Out, const char *Fmt, va_list Args);
+/// Appends \p Value in decimal, right-aligned in \p Width columns:
+/// printf's "%*llu".
+void appendUnsigned(std::string &Out, uint64_t Value, unsigned Width = 0);
+
+/// Appends \p S right-aligned in \p Width columns (never truncates):
+/// printf's "%*s".
+void appendPadLeft(std::string &Out, std::string_view S, unsigned Width);
 
 /// Right-aligns \p S in a field of \p Width characters (never truncates).
 std::string padLeft(std::string_view S, unsigned Width);

@@ -110,6 +110,14 @@ Error UnixSocket::sendAll(const uint8_t *Data, size_t Size) {
   return Error::success();
 }
 
+Error UnixSocket::shutdownWrite() {
+  if (Fd < 0)
+    return Error::failure("shutdown on a closed socket");
+  if (::shutdown(Fd, SHUT_WR) != 0)
+    return errnoFailure("shutdown", format("fd %d", Fd));
+  return Error::success();
+}
+
 Expected<bool> UnixSocket::waitReadable(int TimeoutMs) const {
   return pollReadable(Fd, TimeoutMs, "socket wait");
 }

@@ -63,6 +63,10 @@ public:
   /// `sock.write`).  A disappeared peer is an error, never a signal.
   Error sendAll(const uint8_t *Data, size_t Size);
 
+  /// Shuts down the sending direction: the peer reads end-of-stream once
+  /// it has read what was already sent.
+  Error shutdownWrite();
+
   /// Waits up to \p TimeoutMs for readability (negative blocks forever).
   /// Returns true when a read would not block, false on timeout.
   Expected<bool> waitReadable(int TimeoutMs) const;

@@ -301,3 +301,137 @@ TEST(GoldenTest, ContextsTiedRowsKeepPreorder) {
   checkGolden("contexts_tied.txt",
               printContexts(Tree) + "\n" + printContexts(Tree, All));
 }
+
+namespace {
+
+/// A flat profile that reaches every field of the flat printer: routines
+/// tied on self time and calls, a call count wider than its column,
+/// ms/call values that sit exactly on rounding ties (eight samples per
+/// second make every time a multiple of 1/8), a never-called routine,
+/// samples outside every routine and time excluded with -E.
+ProfileReport analyzeFlatStressProfile() {
+  SyntheticProfileBuilder B(8);
+  uint32_t Main = B.addFunction("main");
+  uint32_t TieA = B.addFunction("tie_a");
+  uint32_t TieB = B.addFunction("tie_b");
+  uint32_t TieC = B.addFunction("tie_c");
+  uint32_t Wide = B.addFunction("wide");
+  uint32_t Half1 = B.addFunction("half1");
+  uint32_t Half3 = B.addFunction("half3");
+  uint32_t Half5 = B.addFunction("half5");
+  uint32_t Idle = B.addFunction("idle");
+  uint32_t Excluded = B.addFunction("excluded");
+  uint32_t Unused = B.addFunction("unused");
+  // The last routine is left out of the symbol table below, so its
+  // samples fall outside every known routine.
+  uint32_t Ghost = B.addFunction("ghost");
+  (void)Unused;
+
+  B.addSpontaneous(Main);
+  for (uint32_t T : {TieC, TieA, TieB}) {
+    B.addCall(Main, T, 7);
+    B.setSelfSeconds(T, 0.25);
+  }
+  B.addCall(Main, Wide, 123456789012ull);
+  B.setSelfSeconds(Wide, 0.5);
+  // 0.125, 0.375 and 0.625 ms per call: exact binary halfway cases.
+  B.addCall(Main, Half1, 1000);
+  B.setSelfSeconds(Half1, 0.125);
+  B.addCall(Main, Half3, 1000);
+  B.setSelfSeconds(Half3, 0.375);
+  B.addCall(Main, Half5, 1000);
+  B.setSelfSeconds(Half5, 0.625);
+  B.addCall(Main, Excluded, 3);
+  B.setSelfSeconds(Excluded, 1.0);
+  B.setSelfSeconds(Idle, 0.125); // Sampled but never called.
+  B.setSelfSeconds(Main, 1.5);
+  B.setSelfSeconds(Ghost, 0.375);
+
+  auto In = B.build();
+  SymbolTable Syms;
+  for (uint32_t I = 0; I != Ghost; ++I)
+    Syms.addSymbol(In.Syms.symbol(I).Name, B.entryOf(I), 100);
+  cantFail(Syms.finalize());
+  AnalyzerOptions Opts;
+  Opts.ExcludeTimeOf = {"excluded"};
+  Analyzer A(std::move(Syms), std::move(Opts));
+  return cantFail(A.analyze(In.Data));
+}
+
+/// Two cycles whose lowest-count arcs tie, so which arc the cycle-breaking
+/// heuristic removes depends on arc-id order.  Static arcs repeat dynamic
+/// ones and each other, so the graph build must merge duplicates.
+ProfileReport analyzeCycleBreakingProfile(AnalyzerOptions Opts) {
+  SyntheticProfileBuilder B(100);
+  uint32_t Main = B.addFunction("main");
+  uint32_t P1 = B.addFunction("p1");
+  uint32_t P2 = B.addFunction("p2");
+  uint32_t P3 = B.addFunction("p3");
+  uint32_t Q1 = B.addFunction("q1");
+  uint32_t Q2 = B.addFunction("q2");
+  uint32_t R = B.addFunction("r");
+  uint32_t S = B.addFunction("s");
+
+  B.addSpontaneous(Main);
+  B.addCall(Main, P1, 10);
+  B.addCall(Main, Q1, 4);
+  B.addCall(P1, P2, 2);
+  B.addCall(P2, P3, 2);
+  B.addCall(P2, P1, 2);
+  B.addCall(P3, P1, 5);
+  B.addCall(P2, P2, 3);
+  B.addCall(Q1, Q2, 3);
+  B.addCall(Q2, Q1, 3);
+  B.addCall(Q2, R, 7);
+  B.addCall(Q1, R, 1, /*Site=*/1);
+  B.addCall(Q1, R, 2, /*Site=*/2);
+  B.addStaticArc(Main, P1);
+  B.addStaticArc(P1, S, 0);
+  B.addStaticArc(P1, S, 1);
+  B.addStaticArc(Q2, Q1);
+  B.addStaticArc(R, S);
+
+  B.setSelfSeconds(Main, 0.2);
+  B.setSelfSeconds(P1, 0.3);
+  B.setSelfSeconds(P2, 0.1);
+  B.setSelfSeconds(P3, 0.4);
+  B.setSelfSeconds(Q1, 0.25);
+  B.setSelfSeconds(Q2, 0.15);
+  B.setSelfSeconds(R, 0.5);
+  B.setSelfSeconds(S, 0.05);
+
+  auto In = B.build();
+  Opts.UseStaticArcs = true;
+  Analyzer A(std::move(In.Syms), std::move(Opts));
+  A.setStaticArcs(In.StaticArcs);
+  return cantFail(A.analyze(In.Data));
+}
+
+} // namespace
+
+TEST(GoldenTest, SyntheticFlatProfile) {
+  ProfileReport R = analyzeFlatStressProfile();
+  ASSERT_GT(R.UnattributedTime, 0.0);
+  ASSERT_GT(R.ExcludedTime, 0.0);
+  ASSERT_FALSE(R.UnusedFunctions.empty());
+  FlatPrintOptions Zero;
+  Zero.ShowZeroUsage = true;
+  checkGolden("synthetic_flat.txt",
+              printFlatProfile(R) + "\n" + printFlatProfile(R, Zero));
+}
+
+TEST(GoldenTest, SyntheticCallGraphAutoBreak) {
+  AnalyzerOptions Opts;
+  Opts.AutoBreakCycleBound = 2;
+  ProfileReport R = analyzeCycleBreakingProfile(Opts);
+  ASSERT_EQ(R.RemovedArcs.size(), 2u);
+  checkGolden("synthetic_break_cycles.txt", printCallGraph(R));
+}
+
+TEST(GoldenTest, SyntheticCallGraphDeleteArcs) {
+  AnalyzerOptions Opts;
+  // q2 -> q1 is also a static arc, so it stays in the graph with count 0.
+  Opts.DeleteArcs = {{"q2", "q1"}, {"p3", "p1"}};
+  ProfileReport R = analyzeCycleBreakingProfile(Opts);
+  checkGolden("synthetic_delete_arcs.txt", printCallGraph(R));
+}

@@ -46,65 +46,125 @@ std::vector<std::vector<bool>> reachability(const CallGraph &G) {
 // CallGraph basics
 //===----------------------------------------------------------------------===//
 
-TEST(CallGraphTest, AddNodesAndArcs) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  G.addArc(A, B, 3);
+TEST(CallGraphTest, BuildFromNamesAndArcs) {
+  CallGraph G({"a", "b"}, {{0, 1, 3}});
   EXPECT_EQ(G.numNodes(), 2u);
   EXPECT_EQ(G.numArcs(), 1u);
   EXPECT_EQ(G.arc(0).Count, 3u);
-  EXPECT_EQ(G.nodeName(A), "a");
-  EXPECT_EQ(G.findNode("b"), B);
+  EXPECT_EQ(G.nodeName(0), "a");
+  EXPECT_EQ(G.findNode("b"), 1u);
   EXPECT_EQ(G.findNode("zz"), InvalidNode);
 }
 
 TEST(CallGraphTest, DuplicateArcsMergeCounts) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  ArcId First = G.addArc(A, B, 2);
-  ArcId Second = G.addArc(A, B, 5);
-  EXPECT_EQ(First, Second);
-  EXPECT_EQ(G.numArcs(), 1u);
-  EXPECT_EQ(G.arc(First).Count, 7u);
+  CallGraph G({"a", "b", "c"}, {{0, 1, 2}, {0, 2, 1}, {0, 1, 5}});
+  EXPECT_EQ(G.numArcs(), 2u);
+  ArcId AB = G.findArc(0, 1);
+  ASSERT_NE(AB, InvalidNode);
+  EXPECT_EQ(G.arc(AB).Count, 7u);
+  EXPECT_EQ(G.outArcs(0).size(), 2u);
+  EXPECT_EQ(G.inArcs(1).size(), 1u);
 }
 
 TEST(CallGraphTest, StaticFlagClearedByDynamicCount) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  ArcId Arc1 = G.addArc(A, B, 0, /*IsStatic=*/true);
-  EXPECT_TRUE(G.arc(Arc1).Static);
-  G.addArc(A, B, 4, /*IsStatic=*/false);
-  EXPECT_FALSE(G.arc(Arc1).Static);
-  EXPECT_EQ(G.arc(Arc1).Count, 4u);
+  // A static copy and a dynamic copy of one pair, in either order, give a
+  // dynamic arc that keeps the dynamic count.
+  for (bool StaticFirst : {true, false}) {
+    std::vector<Arc> Arcs{{0, 1, 0, /*Static=*/true}, {0, 1, 4}};
+    if (!StaticFirst)
+      std::swap(Arcs[0], Arcs[1]);
+    CallGraph G({"a", "b"}, Arcs);
+    ASSERT_EQ(G.numArcs(), 1u);
+    EXPECT_FALSE(G.arc(0).Static);
+    EXPECT_EQ(G.arc(0).Count, 4u);
+  }
+}
+
+TEST(CallGraphTest, StaticFlagKeptWhenEveryCopyIsStatic) {
+  CallGraph G({"a", "b"}, {{0, 1, 0, true}, {0, 1, 0, true}});
+  ASSERT_EQ(G.numArcs(), 1u);
+  EXPECT_TRUE(G.arc(0).Static);
+  EXPECT_EQ(G.arc(0).Count, 0u);
+}
+
+TEST(CallGraphTest, ArcIdsFollowFromToOrder) {
+  // Given out of order, arc ids come out sorted by (From, To), and each
+  // out-slice is the contiguous run of its caller's arcs.
+  CallGraph G({"a", "b", "c", "d"},
+              {{2, 0, 1}, {0, 3, 2}, {1, 2, 3}, {0, 1, 4}, {2, 1, 5}});
+  std::vector<std::pair<NodeId, NodeId>> Order;
+  for (ArcId A = 0; A != G.numArcs(); ++A)
+    Order.emplace_back(G.arc(A).From, G.arc(A).To);
+  std::vector<std::pair<NodeId, NodeId>> Want{
+      {0, 1}, {0, 3}, {1, 2}, {2, 0}, {2, 1}};
+  EXPECT_EQ(Order, Want);
+  for (NodeId N = 0; N != G.numNodes(); ++N)
+    for (ArcId A : G.outArcs(N))
+      EXPECT_EQ(G.arc(A).From, N);
+  EXPECT_EQ(std::vector<ArcId>(G.outArcs(2).begin(), G.outArcs(2).end()),
+            (std::vector<ArcId>{3, 4}));
+}
+
+TEST(CallGraphTest, InArcsOrderedByCaller) {
+  CallGraph G({"a", "b", "c", "d"},
+              {{3, 0, 1}, {1, 0, 1}, {2, 0, 1}, {0, 0, 1}, {3, 1, 1}});
+  std::vector<NodeId> Callers;
+  for (ArcId A : G.inArcs(0)) {
+    EXPECT_EQ(G.arc(A).To, 0u);
+    Callers.push_back(G.arc(A).From);
+  }
+  EXPECT_EQ(Callers, (std::vector<NodeId>{0, 1, 2, 3}));
+  ASSERT_EQ(G.inArcs(1).size(), 1u);
+  EXPECT_EQ(G.arc(G.inArcs(1)[0]).From, 3u);
+}
+
+TEST(CallGraphTest, FindArcOnAbsentArc) {
+  CallGraph G({"a", "b", "c"}, {{0, 2, 1}, {2, 0, 1}});
+  EXPECT_EQ(G.findArc(0, 1), InvalidNode); // Caller has other arcs.
+  EXPECT_EQ(G.findArc(1, 0), InvalidNode); // Caller has no arcs.
+  EXPECT_EQ(G.findArc(2, 2), InvalidNode);
+  EXPECT_EQ(G.findArc(0, 2), 0u);
+  EXPECT_EQ(G.findArc(2, 0), 1u);
+}
+
+TEST(CallGraphTest, IsolatedAndZeroArcGraphs) {
+  CallGraph Empty;
+  EXPECT_EQ(Empty.numNodes(), 0u);
+  EXPECT_EQ(Empty.numArcs(), 0u);
+  EXPECT_TRUE(Empty.isAcyclic());
+  EXPECT_EQ(findSCCs(Empty).Components.size(), 0u);
+
+  CallGraph NoArcs({"a", "b", "c"}, {});
+  EXPECT_EQ(NoArcs.numArcs(), 0u);
+  for (NodeId N = 0; N != NoArcs.numNodes(); ++N) {
+    EXPECT_TRUE(NoArcs.outArcs(N).empty());
+    EXPECT_TRUE(NoArcs.inArcs(N).empty());
+    EXPECT_EQ(NoArcs.incomingCallCount(N), 0u);
+  }
+  EXPECT_TRUE(NoArcs.isAcyclic());
+
+  // Node 1 is isolated between two connected nodes.
+  CallGraph Isolated({"a", "b", "c"}, {{0, 2, 4}});
+  EXPECT_TRUE(Isolated.outArcs(1).empty());
+  EXPECT_TRUE(Isolated.inArcs(1).empty());
+  EXPECT_EQ(Isolated.outArcs(0).size(), 1u);
+  EXPECT_EQ(Isolated.inArcs(2).size(), 1u);
+  EXPECT_TRUE(Isolated.outArcs(2).empty());
+  EXPECT_EQ(Isolated.incomingCallCount(2), 4u);
 }
 
 TEST(CallGraphTest, IncomingCallCountExcludesSelfArcs) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  G.addArc(A, B, 6);
-  G.addArc(B, B, 4); // Self-recursion.
-  EXPECT_EQ(G.incomingCallCount(B), 6u);
+  CallGraph G({"a", "b"}, {{0, 1, 6}, {1, 1, 4}}); // b recurses.
+  EXPECT_EQ(G.incomingCallCount(1), 6u);
 }
 
 TEST(CallGraphTest, AcyclicityDetection) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  G.addArc(A, B, 1);
-  EXPECT_TRUE(G.isAcyclic());
-  G.addArc(B, A, 1);
-  EXPECT_FALSE(G.isAcyclic());
+  EXPECT_TRUE(CallGraph({"a", "b"}, {{0, 1, 1}}).isAcyclic());
+  EXPECT_FALSE(CallGraph({"a", "b"}, {{0, 1, 1}, {1, 0, 1}}).isAcyclic());
 }
 
 TEST(CallGraphTest, SelfArcMakesCyclic) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  G.addArc(A, A, 1);
-  EXPECT_FALSE(G.isAcyclic());
+  EXPECT_FALSE(CallGraph({"a"}, {{0, 0, 1}}).isAcyclic());
 }
 
 //===----------------------------------------------------------------------===//
@@ -115,19 +175,24 @@ namespace {
 
 /// Builds the call graph of paper Figure 1: a root calling through two
 /// levels into shared leaves.  Nodes are created in an order unrelated to
-/// topological order to exercise the numbering.
+/// topological order to exercise the numbering.  With \p Figure2, nodes 3
+/// and 7 are also mutually recursive.
 ///
 /// Shape (10 nodes): 10 is the root; arcs flow downward:
 ///   10 -> 9, 10 -> 8; 9 -> 7, 9 -> 6; 8 -> 6, 8 -> 5;
 ///   7 -> 4, 7 -> 3; 6 -> 3; 5 -> 3, 5 -> 2; 3 -> 1; 4 -> 1; 2 -> 1.
-CallGraph makeFigure1Graph(std::vector<NodeId> &ByNumber) {
-  CallGraph G;
+CallGraph makeFigure1Graph(std::vector<NodeId> &ByNumber,
+                           bool Figure2 = false) {
+  std::vector<std::string> Names;
   ByNumber.assign(11, InvalidNode);
   // Deliberately scrambled creation order.
-  for (uint32_t Number : {3u, 10u, 1u, 7u, 5u, 9u, 2u, 8u, 6u, 4u})
-    ByNumber[Number] = G.addNode("n" + std::to_string(Number));
+  for (uint32_t Number : {3u, 10u, 1u, 7u, 5u, 9u, 2u, 8u, 6u, 4u}) {
+    ByNumber[Number] = static_cast<NodeId>(Names.size());
+    Names.push_back("n" + std::to_string(Number));
+  }
+  std::vector<gprof::Arc> Arcs;
   auto Arc = [&](uint32_t From, uint32_t To) {
-    G.addArc(ByNumber[From], ByNumber[To], 1);
+    Arcs.push_back({ByNumber[From], ByNumber[To], 1});
   };
   Arc(10, 9);
   Arc(10, 8);
@@ -143,7 +208,9 @@ CallGraph makeFigure1Graph(std::vector<NodeId> &ByNumber) {
   Arc(3, 1);
   Arc(4, 1);
   Arc(2, 1);
-  return G;
+  if (Figure2)
+    Arc(3, 7);
+  return CallGraph(std::move(Names), std::move(Arcs));
 }
 
 } // namespace
@@ -170,8 +237,7 @@ TEST(TarjanTest, Figure1TopologicalProperty) {
 TEST(TarjanTest, Figure2CycleDetected) {
   // Figure 2 makes nodes 3 and 7 mutually recursive.
   std::vector<NodeId> ByNumber;
-  CallGraph G = makeFigure1Graph(ByNumber);
-  G.addArc(ByNumber[3], ByNumber[7], 1);
+  CallGraph G = makeFigure1Graph(ByNumber, /*Figure2=*/true);
   SCCResult SCCs = findSCCs(G);
   EXPECT_EQ(SCCs.numNontrivialComponents(), 1u);
   EXPECT_EQ(SCCs.ComponentOf[ByNumber[3]], SCCs.ComponentOf[ByNumber[7]]);
@@ -179,19 +245,14 @@ TEST(TarjanTest, Figure2CycleDetected) {
 }
 
 TEST(TarjanTest, SelfLoopIsSingletonComponent) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  G.addArc(A, A, 5);
+  CallGraph G({"a"}, {{0, 0, 5}});
   SCCResult SCCs = findSCCs(G);
   EXPECT_EQ(SCCs.Components.size(), 1u);
   EXPECT_EQ(SCCs.numNontrivialComponents(), 0u);
 }
 
 TEST(TarjanTest, DisconnectedGraphCovered) {
-  CallGraph G;
-  G.addNode("a");
-  G.addNode("b");
-  G.addNode("c");
+  CallGraph G({"a", "b", "c"}, {});
   SCCResult SCCs = findSCCs(G);
   EXPECT_EQ(SCCs.Components.size(), 3u);
   std::set<uint32_t> Seen(SCCs.ComponentOf.begin(), SCCs.ComponentOf.end());
@@ -200,12 +261,14 @@ TEST(TarjanTest, DisconnectedGraphCovered) {
 
 TEST(TarjanTest, DeepChainNoStackOverflow) {
   // 200k-node chain: a recursive Tarjan would blow the stack here.
-  CallGraph G;
   const uint32_t N = 200000;
+  std::vector<std::string> Names;
+  std::vector<Arc> Arcs;
   for (uint32_t I = 0; I != N; ++I)
-    G.addNode("f" + std::to_string(I));
+    Names.push_back("f" + std::to_string(I));
   for (uint32_t I = 0; I + 1 != N; ++I)
-    G.addArc(I, I + 1, 1);
+    Arcs.push_back({I, I + 1, 1});
+  CallGraph G(std::move(Names), std::move(Arcs));
   SCCResult SCCs = findSCCs(G);
   EXPECT_EQ(SCCs.Components.size(), N);
   std::vector<uint32_t> Numbers = topologicalNumbers(G, SCCs);
@@ -213,12 +276,14 @@ TEST(TarjanTest, DeepChainNoStackOverflow) {
 }
 
 TEST(TarjanTest, BigCycleIsOneComponent) {
-  CallGraph G;
   const uint32_t N = 1000;
+  std::vector<std::string> Names;
+  std::vector<Arc> Arcs;
   for (uint32_t I = 0; I != N; ++I)
-    G.addNode("f" + std::to_string(I));
+    Names.push_back("f" + std::to_string(I));
   for (uint32_t I = 0; I != N; ++I)
-    G.addArc(I, (I + 1) % N, 1);
+    Arcs.push_back({I, (I + 1) % N, 1});
+  CallGraph G(std::move(Names), std::move(Arcs));
   SCCResult SCCs = findSCCs(G);
   EXPECT_EQ(SCCs.Components.size(), 1u);
   EXPECT_EQ(SCCs.Components[0].size(), N);
@@ -269,53 +334,46 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TarjanPropertyTest,
 
 TEST(CycleCollapseTest, Figure3Shape) {
   std::vector<NodeId> ByNumber;
-  CallGraph G = makeFigure1Graph(ByNumber);
-  G.addArc(ByNumber[3], ByNumber[7], 1); // Figure 2's cycle {3,7}.
+  CallGraph G = makeFigure1Graph(ByNumber, /*Figure2=*/true);
   SCCResult SCCs = findSCCs(G);
-  CondensedGraph Cond = collapseCycles(G, SCCs);
+  CallGraph Dag = collapseCycles(G, SCCs);
 
   // 9 condensed nodes (10 routines, one 2-cycle).
-  EXPECT_EQ(Cond.Dag.numNodes(), 9u);
-  EXPECT_TRUE(Cond.Dag.isAcyclic());
+  EXPECT_EQ(Dag.numNodes(), 9u);
+  EXPECT_TRUE(Dag.isAcyclic());
 
-  NodeId CycleNode = Cond.CondensedOf[ByNumber[3]];
-  EXPECT_EQ(CycleNode, Cond.CondensedOf[ByNumber[7]]);
-  EXPECT_TRUE(Cond.isCycle(CycleNode));
-  EXPECT_EQ(Cond.Members[CycleNode].size(), 2u);
+  NodeId CycleNode = SCCs.ComponentOf[ByNumber[3]];
+  EXPECT_EQ(CycleNode, SCCs.ComponentOf[ByNumber[7]]);
+  EXPECT_EQ(SCCs.Components[CycleNode].size(), 2u);
+  EXPECT_EQ(Dag.nodeName(CycleNode),
+            "<cycle " + std::to_string(CycleNode) + ">");
 }
 
 TEST(CycleCollapseTest, InterArcCountsMerge) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  NodeId C = G.addNode("c");
-  NodeId D = G.addNode("d");
+  const NodeId A = 0, B = 1, C = 2, D = 3;
   // B and C form a cycle; A calls both members.
-  G.addArc(B, C, 10);
-  G.addArc(C, B, 20);
-  G.addArc(A, B, 3);
-  G.addArc(A, C, 4);
-  G.addArc(C, D, 5);
+  CallGraph G({"a", "b", "c", "d"},
+              {{B, C, 10}, {C, B, 20}, {A, B, 3}, {A, C, 4}, {C, D, 5}});
   SCCResult SCCs = findSCCs(G);
-  CondensedGraph Cond = collapseCycles(G, SCCs);
+  CallGraph Dag = collapseCycles(G, SCCs);
 
-  EXPECT_EQ(Cond.Dag.numNodes(), 3u);
-  NodeId CycleNode = Cond.CondensedOf[B];
-  ArcId IntoCycle = Cond.Dag.findArc(Cond.CondensedOf[A], CycleNode);
+  EXPECT_EQ(Dag.numNodes(), 3u);
+  NodeId CycleNode = SCCs.ComponentOf[B];
+  ArcId IntoCycle = Dag.findArc(SCCs.ComponentOf[A], CycleNode);
   ASSERT_NE(IntoCycle, InvalidNode);
-  EXPECT_EQ(Cond.Dag.arc(IntoCycle).Count, 7u); // 3 + 4 merged.
-  ArcId OutOfCycle = Cond.Dag.findArc(CycleNode, Cond.CondensedOf[D]);
+  EXPECT_EQ(Dag.arc(IntoCycle).Count, 7u); // 3 + 4 merged.
+  ArcId OutOfCycle = Dag.findArc(CycleNode, SCCs.ComponentOf[D]);
   ASSERT_NE(OutOfCycle, InvalidNode);
-  EXPECT_EQ(Cond.Dag.arc(OutOfCycle).Count, 5u);
+  EXPECT_EQ(Dag.arc(OutOfCycle).Count, 5u);
 }
 
 TEST(CycleCollapseTest, CondensedOrderIsReverseTopological) {
   for (uint64_t Seed = 0; Seed != 8; ++Seed) {
     CallGraph G = makeRandomGraph(50, 140, 10, 0.05, Seed + 3000);
     SCCResult SCCs = findSCCs(G);
-    CondensedGraph Cond = collapseCycles(G, SCCs);
-    for (ArcId A = 0; A != Cond.Dag.numArcs(); ++A)
-      EXPECT_GT(Cond.Dag.arc(A).From, Cond.Dag.arc(A).To);
+    CallGraph Dag = collapseCycles(G, SCCs);
+    for (ArcId A = 0; A != Dag.numArcs(); ++A)
+      EXPECT_GT(Dag.arc(A).From, Dag.arc(A).To);
   }
 }
 
@@ -324,29 +382,22 @@ TEST(CycleCollapseTest, CondensedOrderIsReverseTopological) {
 //===----------------------------------------------------------------------===//
 
 TEST(FeedbackArcsTest, SimpleTwoCycle) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  G.addArc(A, B, 100);
-  G.addArc(B, A, 2); // The cheap back arc should be removed.
+  // The cheap back arc b -> a should be removed.
+  CallGraph G({"a", "b"}, {{0, 1, 100}, {1, 0, 2}});
   FeedbackArcResult R = selectFeedbackArcsGreedy(G, 10);
   EXPECT_TRUE(R.Acyclic);
   ASSERT_EQ(R.RemovedArcs.size(), 1u);
-  EXPECT_EQ(G.arc(R.RemovedArcs[0]).Count, 2u);
+  const Arc &Removed = G.arc(R.RemovedArcs[0]);
+  EXPECT_EQ(std::make_pair(Removed.From, Removed.To),
+            std::make_pair(NodeId(1), NodeId(0)));
+  EXPECT_EQ(Removed.Count, 2u);
   EXPECT_EQ(R.RemovedCount, 2u);
 }
 
 TEST(FeedbackArcsTest, BoundStopsGreedy) {
   // Two independent 2-cycles but a budget of one arc.
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  NodeId C = G.addNode("c");
-  NodeId D = G.addNode("d");
-  G.addArc(A, B, 10);
-  G.addArc(B, A, 1);
-  G.addArc(C, D, 10);
-  G.addArc(D, C, 1);
+  CallGraph G({"a", "b", "c", "d"},
+              {{0, 1, 10}, {1, 0, 1}, {2, 3, 10}, {3, 2, 1}});
   FeedbackArcResult R = selectFeedbackArcsGreedy(G, 1);
   EXPECT_FALSE(R.Acyclic);
   EXPECT_EQ(R.RemovedArcs.size(), 1u);
@@ -360,9 +411,7 @@ TEST(FeedbackArcsTest, AcyclicInputRemovesNothing) {
 }
 
 TEST(FeedbackArcsTest, SelfArcsIgnored) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  G.addArc(A, A, 50);
+  CallGraph G({"a"}, {{0, 0, 50}});
   FeedbackArcResult R = selectFeedbackArcsGreedy(G, 10);
   EXPECT_TRUE(R.Acyclic); // Self arcs never participate.
   EXPECT_TRUE(R.RemovedArcs.empty());
@@ -371,14 +420,8 @@ TEST(FeedbackArcsTest, SelfArcsIgnored) {
 TEST(FeedbackArcsTest, ExactFindsMinimum) {
   // A 4-cycle with a chord: one removal suffices, and the exact search
   // must find a single-arc solution.
-  CallGraph G;
-  std::vector<NodeId> N;
-  for (int I = 0; I != 4; ++I)
-    N.push_back(G.addNode("n" + std::to_string(I)));
-  G.addArc(N[0], N[1], 5);
-  G.addArc(N[1], N[2], 5);
-  G.addArc(N[2], N[3], 5);
-  G.addArc(N[3], N[0], 5);
+  CallGraph G({"n0", "n1", "n2", "n3"},
+              {{0, 1, 5}, {1, 2, 5}, {2, 3, 5}, {3, 0, 5}});
   FeedbackArcResult R = selectFeedbackArcsExact(G, 4);
   EXPECT_TRUE(R.Acyclic);
   EXPECT_EQ(R.RemovedArcs.size(), 1u);
@@ -386,15 +429,8 @@ TEST(FeedbackArcsTest, ExactFindsMinimum) {
 
 TEST(FeedbackArcsTest, ExactRespectsBound) {
   // Two disjoint cycles need two removals; a bound of one must fail.
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  NodeId C = G.addNode("c");
-  NodeId D = G.addNode("d");
-  G.addArc(A, B, 1);
-  G.addArc(B, A, 1);
-  G.addArc(C, D, 1);
-  G.addArc(D, C, 1);
+  CallGraph G({"a", "b", "c", "d"},
+              {{0, 1, 1}, {1, 0, 1}, {2, 3, 1}, {3, 2, 1}});
   FeedbackArcResult R = selectFeedbackArcsExact(G, 1);
   EXPECT_FALSE(R.Acyclic);
   FeedbackArcResult R2 = selectFeedbackArcsExact(G, 2);
@@ -414,12 +450,9 @@ TEST(FeedbackArcsTest, GreedyNeverWorseThanExactByMuchOnSmallGraphs) {
 }
 
 TEST(FeedbackArcsTest, RemoveArcsProducesFilteredCopy) {
-  CallGraph G;
-  NodeId A = G.addNode("a");
-  NodeId B = G.addNode("b");
-  ArcId AB = G.addArc(A, B, 3);
-  G.addArc(B, A, 4);
-  CallGraph H = removeArcs(G, {AB});
+  const NodeId A = 0, B = 1;
+  CallGraph G({"a", "b"}, {{A, B, 3}, {B, A, 4}});
+  CallGraph H = removeArcs(G, {G.findArc(A, B)});
   EXPECT_EQ(H.numArcs(), 1u);
   EXPECT_EQ(H.findArc(A, B), InvalidNode);
   ArcId BA = H.findArc(B, A);

@@ -527,6 +527,77 @@ TEST_F(ServeTest, BackpressureAnswersRetryAtCapacity) {
   cantFail(Eventually.ping());
 }
 
+namespace {
+
+/// Both ends of one connection through a real listener, set up on the
+/// calling thread: connect() completes from the listen backlog, so these
+/// tests need no second thread and no timing.
+struct ConnectedPair {
+  explicit ConnectedPair(const std::string &Name)
+      : Listener(cantFail(UnixListener::listenOn(tempPath(Name)))) {
+    Client.emplace(cantFail(UnixSocket::connectTo(Listener.path())));
+    Daemon.emplace(cantFail(Listener.accept()));
+  }
+  UnixListener Listener;
+  std::optional<Connection> Client, Daemon;
+};
+
+} // namespace
+
+TEST(ServeRejectTest, RetryThenEndOfStreamDespiteQueuedRequest) {
+  // The client's request is already queued when the daemon turns it away.
+  // The client must still read the RETRY frame and then a clean
+  // end-of-stream, not a connection reset.
+  ConnectedPair P("reject.sock");
+  cantFail(P.Client->writeFrame(MsgType::Ping, {}));
+  P.Daemon->reject("at capacity");
+  EXPECT_FALSE(P.Daemon->isOpen());
+  auto Answer = P.Client->readFrame();
+  ASSERT_TRUE(static_cast<bool>(Answer)) << Answer.message();
+  ASSERT_TRUE(Answer->has_value());
+  EXPECT_EQ((*Answer)->Type, MsgType::Retry);
+  EXPECT_EQ(cantFail(decodeText((*Answer)->Payload)), "at capacity");
+  auto End = P.Client->readFrame();
+  ASSERT_TRUE(static_cast<bool>(End)) << End.message();
+  EXPECT_FALSE(End->has_value());
+}
+
+TEST(ServeRejectTest, SocketFaultsDuringRejectStillClose) {
+  struct DisarmGuard {
+    ~DisarmGuard() { fault::disarmAll(); }
+  } Disarm;
+  // The RETRY write fails: the daemon still shuts down, drains and
+  // closes, so the client reads end-of-stream instead of waiting.
+  {
+    ConnectedPair P("reject_write.sock");
+    cantFail(P.Client->writeFrame(MsgType::Ping, {}));
+    fault::arm("sock.write", 1, 1);
+    P.Daemon->reject("at capacity");
+    EXPECT_EQ(fault::firedCount("sock.write"), 1u);
+    auto End = P.Client->readFrame();
+    ASSERT_TRUE(static_cast<bool>(End)) << End.message();
+    EXPECT_FALSE(End->has_value());
+  }
+  fault::disarmAll();
+  // The drain's read fails: the daemon closes anyway and the RETRY frame
+  // still arrives.  The request it could not drain then resets the
+  // connection after the frame, which is what the drain prevents.
+  {
+    ConnectedPair P("reject_read.sock");
+    cantFail(P.Client->writeFrame(MsgType::Ping, {}));
+    fault::arm("sock.read", 1, 1);
+    P.Daemon->reject("at capacity");
+    EXPECT_EQ(fault::firedCount("sock.read"), 1u);
+    auto Answer = P.Client->readFrame();
+    ASSERT_TRUE(static_cast<bool>(Answer)) << Answer.message();
+    ASSERT_TRUE(Answer->has_value());
+    EXPECT_EQ((*Answer)->Type, MsgType::Retry);
+    auto End = P.Client->readFrame();
+    EXPECT_FALSE(static_cast<bool>(End));
+    (void)End.takeError();
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Live observability: QUERY_STATS, the event tail, request tracing
 //===----------------------------------------------------------------------===//

@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 using namespace gprof;
 
@@ -126,14 +128,115 @@ TEST(FormatTest, StackBufferBoundary) {
   }
 }
 
-TEST(FormatTest, AppendFormatKeepsPrefix) {
-  std::string Out = "head:";
-  appendFormat(Out, "%5.1f|", 3.14159);
-  std::string Long(300, 'z');
-  appendFormat(Out, "%s", Long.c_str());
-  EXPECT_EQ(Out, "head:  3.1|" + Long);
-  appendFormat(Out, "%s", "");
-  EXPECT_EQ(Out.size(), 5u + 6u + 300u);
+namespace {
+
+/// snprintf of one conversion, the reference for the field appenders.
+std::string printfField(const char *Fmt, ...) {
+  char Buf[512];
+  va_list Args;
+  va_start(Args, Fmt);
+  int N = std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  return std::string(Buf, static_cast<size_t>(N));
+}
+
+std::string fixedField(double Value, unsigned Width, unsigned Precision) {
+  std::string Out = "|";
+  appendFixed(Out, Value, Width, Precision);
+  return Out;
+}
+
+/// The (width, precision) pairs of the flat and call-graph listings:
+/// %5.1f, %8.2f, %9.2f, %10.2f and %11.2f.
+constexpr std::pair<unsigned, unsigned> ListingFixedFields[] = {
+    {5, 1}, {8, 2}, {9, 2}, {10, 2}, {11, 2}};
+
+void expectFixedMatchesPrintf(double Value) {
+  for (auto [Width, Precision] : ListingFixedFields)
+    ASSERT_EQ(fixedField(Value, Width, Precision),
+              printfField("|%*.*f", Width, Precision, Value))
+        << "value " << Value << " as %" << Width << "." << Precision
+        << "f";
+}
+
+} // namespace
+
+TEST(FormatTest, FixedFieldEdgeValuesMatchPrintf) {
+  const double Edges[] = {0.0,
+                          -0.0,
+                          0.125, // Exact binary halfway cases.
+                          0.375,
+                          2.5,
+                          -0.125,
+                          0.05, // Decimal halfway values, inexact in binary.
+                          2.675,
+                          1.005,
+                          1.015,
+                          99.995,
+                          -2.675,
+                          0.004999999,
+                          -0.001, // Rounds to -0.00.
+                          std::nan(""),
+                          std::copysign(std::nan(""), -1.0),
+                          HUGE_VAL,
+                          -HUGE_VAL,
+                          1e300, // Wider than every field.
+                          -1e300,
+                          1.7976931348623157e308,
+                          4.9e-324,
+                          123456789.125,
+                          99999.95};
+  for (double V : Edges)
+    expectFixedMatchesPrintf(V);
+  // Every hundredth-and-a-half from 0 to 100: x.xx5, the ties of %.2f.
+  for (int I = 0; I != 20000; ++I)
+    expectFixedMatchesPrintf(I / 200.0 + 0.005);
+  // Every multiple of 1/32 up to 64: exact ties for both precisions.
+  for (int I = -2048; I != 2048; ++I)
+    expectFixedMatchesPrintf(I / 32.0);
+}
+
+TEST(FormatTest, FixedFieldSeededSweepMatchesPrintf) {
+  SplitMix64 Rng(20261017);
+  for (int I = 0; I != 20000; ++I) {
+    // Listing-sized values: a random mantissa at a random decade.
+    double Decade = std::pow(10.0, static_cast<int>(Rng.nextBelow(19)) - 6);
+    double Value = Rng.nextDouble() * Decade;
+    expectFixedMatchesPrintf(Rng.nextBool(0.1) ? -Value : Value);
+    // Any bit pattern, NaNs and infinities included.
+    uint64_t Bits = Rng.next();
+    double Raw;
+    std::memcpy(&Raw, &Bits, sizeof(Raw));
+    expectFixedMatchesPrintf(Raw);
+  }
+}
+
+TEST(FormatTest, UnsignedAndTextFieldsMatchPrintf) {
+  SplitMix64 Rng(7);
+  std::vector<uint64_t> Values = {0, 1, 9, 10, 99999999, 100000000,
+                                  123456789012ull, UINT64_MAX};
+  for (int I = 0; I != 2000; ++I)
+    Values.push_back(Rng.next() >> Rng.nextBelow(64));
+  for (uint64_t V : Values) {
+    for (unsigned Width : {0u, 8u, 13u}) {
+      std::string Out = "|";
+      appendUnsigned(Out, V, Width);
+      ASSERT_EQ(Out, printfField("|%*llu", Width,
+                                 static_cast<unsigned long long>(V)));
+    }
+  }
+  // The listings' text fields, %8s, %13s and %-6s, with names shorter
+  // than, as long as and longer than the field.
+  for (const char *Text : {"", "a", "[12]", "123456", "12345678",
+                           "123/4567", "18446744073709551615+1",
+                           "a_routine_name_longer_than_any_field"}) {
+    for (unsigned Width : {8u, 13u}) {
+      std::string Out = "|";
+      appendPadLeft(Out, Text, Width);
+      EXPECT_EQ(Out, printfField("|%*s", Width, Text));
+    }
+    EXPECT_EQ("|" + padRight(Text, 6), printfField("|%-6s", Text));
+  }
 }
 
 TEST(FormatTest, Padding) {
