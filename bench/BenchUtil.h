@@ -18,10 +18,12 @@
 #include "support/FileUtils.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -53,11 +55,16 @@ inline bool check(bool Ok, const std::string &Claim) {
 
 /// Machine-readable bench output: accumulates scalar fields plus one
 /// uniform "results" array and writes BENCH_<name>.json, the file the
-/// perf-tracking tooling scrapes.  Values are stored pre-encoded; use the
+/// perf-tracking tooling scrapes.  Every file records the host's
+/// hardware_concurrency first.  Values are stored pre-encoded; use the
 /// typed set/setRow overloads.
 class BenchJson {
 public:
-  explicit BenchJson(std::string Name) : Name(std::move(Name)) {}
+  explicit BenchJson(std::string Name) : Name(std::move(Name)) {
+    set("hardware_concurrency",
+        static_cast<uint64_t>(
+            std::max(1u, std::thread::hardware_concurrency())));
+  }
 
   void set(const std::string &Key, const std::string &Value) {
     Fields.emplace_back(Key, quote(Value));
@@ -144,6 +151,37 @@ inline double timeMs(const std::function<void()> &Fn, int Reps = 3) {
       Best = Ms;
   }
   return Best;
+}
+
+/// One alternating pair of timings and the gate value computed from it.
+struct TimedPair {
+  double A = 0.0;
+  double B = 0.0;
+  double Value = 0.0;
+};
+
+/// Times \p TimeA and \p TimeB alternately (ABAB... over \p Pairs pairs,
+/// after one untimed warm-up pair) and returns the pair whose gate value
+/// \p Gate(a, b) is the median.  A burst of host load then lands on both
+/// sides of some pairs alike, or spoils a minority of them, instead of
+/// inflating one side's separately sampled best-of.
+template <typename TimeAFn, typename TimeBFn, typename GateFn>
+TimedPair medianPair(unsigned Pairs, TimeAFn TimeA, TimeBFn TimeB,
+                     GateFn Gate) {
+  TimeA();
+  TimeB();
+  std::vector<TimedPair> All(Pairs);
+  for (TimedPair &P : All) {
+    P.A = TimeA();
+    P.B = TimeB();
+    P.Value = Gate(P.A, P.B);
+  }
+  auto Mid = All.begin() + All.size() / 2;
+  std::nth_element(All.begin(), Mid, All.end(),
+                   [](const TimedPair &X, const TimedPair &Y) {
+                     return X.Value < Y.Value;
+                   });
+  return *Mid;
 }
 
 } // namespace bench

@@ -19,15 +19,16 @@
 /// caller and a few times expensively by another — and compares:
 ///
 ///  - gprof's propagation (time split by call counts),
-///  - the stack-sampling profiler (exact attribution),
-///  - ground truth from exhaustive (every-cycle) stack sampling.
+///  - the calling-context tree (exact per-path attribution, the same
+///    recorder `tlrun --contexts` runs),
+///  - ground truth from the same tree sampled on every cycle.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "core/Analyzer.h"
+#include "core/ContextTree.h"
 #include "runtime/Monitor.h"
-#include "stackprof/StackProfiler.h"
 #include "vm/CodeGen.h"
 #include "vm/VM.h"
 
@@ -93,19 +94,36 @@ Attribution gprofAttribution(const Image &Img, uint64_t CyclesPerTick) {
   return {CheapTime / Total, ExpensiveTime / Total};
 }
 
-/// The stack sampler's answer: per-adjacency sampled time.
-Attribution stackAttribution(const Image &Img, uint64_t CyclesPerTick,
-                             uint64_t &SamplesOut) {
-  StackSampleProfiler Prof;
+/// The calling-context tree's answer: each process() context charged to
+/// the routine of its parent context.  process never recurses, so every
+/// one of its contexts is maximal and its InclusiveTicks count once.
+Attribution contextAttribution(const Image &Img, uint64_t CyclesPerTick) {
+  MonitorOptions MO;
+  MO.RecordContexts = true;
+  Monitor Mon(Img.lowPc(), Img.highPc(), MO);
   VMOptions VO;
   VO.CyclesPerTick = CyclesPerTick;
   VM Machine(Img, VO);
-  Machine.setHooks(&Prof);
+  Machine.setHooks(&Mon);
   cantFail(Machine.run());
-  SamplesOut = Prof.sampleCount();
-  StackProfile P = Prof.buildProfile(SymbolTable::fromImage(Img));
-  double CheapTime = P.arcTime("cheap_caller", "process");
-  double ExpensiveTime = P.arcTime("expensive_caller", "process");
+  ProfileData Data = Mon.finish();
+  SymbolTable Syms = SymbolTable::fromImage(Img);
+  ContextTree Tree = cantFail(ContextTree::build(Data, Syms));
+
+  uint32_t Process = Syms.findByName("process");
+  uint32_t Cheap = Syms.findByName("cheap_caller");
+  uint32_t Expensive = Syms.findByName("expensive_caller");
+  double CheapTime = 0, ExpensiveTime = 0;
+  for (size_t I = 0; I != Tree.size(); ++I) {
+    const ContextEntry &E = Tree.node(I);
+    if (E.Routine != Process || !E.Maximal || E.Parent == CctRootParent)
+      continue;
+    uint32_t Caller = Tree.node(E.Parent).Routine;
+    if (Caller == Cheap)
+      CheapTime += static_cast<double>(E.InclusiveTicks);
+    if (Caller == Expensive)
+      ExpensiveTime += static_cast<double>(E.InclusiveTicks);
+  }
   double Total = CheapTime + ExpensiveTime;
   return {CheapTime / Total, ExpensiveTime / Total};
 }
@@ -114,18 +132,16 @@ Attribution stackAttribution(const Image &Img, uint64_t CyclesPerTick,
 
 int main() {
   banner("E11 (ablation)",
-         "call-count averaging vs complete call stacks (the paper's "
+         "call-count averaging vs calling contexts (the paper's "
          "own pitfall)");
 
   CodeGenOptions CG;
   CG.EnableProfiling = true;
   Image Img = compileTLOrDie(WorkloadSource, CG);
 
-  uint64_t TruthSamples = 0;
-  Attribution Truth = stackAttribution(Img, 1, TruthSamples);
+  Attribution Truth = contextAttribution(Img, 1);
   Attribution Gprof = gprofAttribution(Img, 97);
-  uint64_t StackSamples = 0;
-  Attribution Stack = stackAttribution(Img, 97, StackSamples);
+  Attribution Context = contextAttribution(Img, 97);
 
   std::printf("\nwho is responsible for process()'s time?\n"
               "(cheap_caller makes 90 tiny calls; expensive_caller makes "
@@ -137,8 +153,8 @@ int main() {
   row({"gprof (count-split)", formatPercent(Gprof.CheapShare, 1.0) + "%",
        formatPercent(Gprof.ExpensiveShare, 1.0) + "%"},
       20);
-  row({"stack sampling", formatPercent(Stack.CheapShare, 1.0) + "%",
-       formatPercent(Stack.ExpensiveShare, 1.0) + "%"},
+  row({"context tree", formatPercent(Context.CheapShare, 1.0) + "%",
+       formatPercent(Context.ExpensiveShare, 1.0) + "%"},
       20);
 
   std::printf("\nchecks against the paper:\n");
@@ -148,8 +164,9 @@ int main() {
   Ok &= check(Gprof.CheapShare > 0.90,
               "gprof distributes by call count (90/92) and so charges the "
               "cheap caller — the documented average-time pitfall");
-  Ok &= check(std::fabs(Stack.ExpensiveShare - Truth.ExpensiveShare) < 0.05,
-              "complete call stacks attribute within 5pp of ground truth "
-              "(the retrospective's 'modern profilers' fix)");
+  Ok &= check(std::fabs(Context.ExpensiveShare - Truth.ExpensiveShare) <
+                  0.05,
+              "the calling-context tree attributes within 5pp of ground "
+              "truth (the retrospective's 'complete call stacks' fix)");
   return Ok ? 0 : 1;
 }

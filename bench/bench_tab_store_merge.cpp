@@ -50,7 +50,7 @@ ProfileData makeShard(uint64_t Seed) {
   for (int I = 0; I != 400; ++I)
     D.addArc(0x1000 + Rng.nextBelow(2048) * 16,
              0x1000 + Rng.nextBelow(256) * 256, 1 + Rng.nextBelow(50));
-  canonicalizeProfile(D);
+  D.canonicalizeArcs();
   return D;
 }
 
@@ -148,7 +148,7 @@ int main(int Argc, char **Argv) {
     for (size_t I = 1; I != Shards.size(); ++I)
       cantFail(Fold.merge(Shards[I]));
   });
-  canonicalizeProfile(Fold);
+  Fold.canonicalizeArcs();
   std::vector<uint8_t> Reference = writeGmon(Fold);
   row({"sequential fold", "1", format("%.2f", FoldMs), "1.00x"}, 16);
   Json.set("fold_ms", FoldMs);

@@ -15,29 +15,6 @@
 
 using namespace gprof;
 
-void gprof::canonicalizeProfile(ProfileData &Data) {
-  std::sort(Data.Arcs.begin(), Data.Arcs.end(),
-            [](const ArcRecord &A, const ArcRecord &B) {
-              if (A.FromPc != B.FromPc)
-                return A.FromPc < B.FromPc;
-              return A.SelfPc < B.SelfPc;
-            });
-  // Coalesce duplicate (FromPc, SelfPc) keys in place.
-  size_t Out = 0;
-  for (size_t I = 0; I != Data.Arcs.size(); ++I) {
-    if (Out != 0 && Data.Arcs[Out - 1].FromPc == Data.Arcs[I].FromPc &&
-        Data.Arcs[Out - 1].SelfPc == Data.Arcs[I].SelfPc) {
-      Data.Arcs[Out - 1].Count =
-          saturatingAdd(Data.Arcs[Out - 1].Count, Data.Arcs[I].Count);
-    } else {
-      Data.Arcs[Out] = Data.Arcs[I];
-      ++Out;
-    }
-  }
-  Data.Arcs.resize(Out);
-  Data.invalidateArcIndex();
-}
-
 bool gprof::isCanonicalProfile(const ProfileData &Data) {
   for (size_t I = 1; I < Data.Arcs.size(); ++I) {
     const ArcRecord &P = Data.Arcs[I - 1], &C = Data.Arcs[I];

@@ -37,12 +37,9 @@
 
 namespace gprof {
 
-/// Puts \p Data in canonical form: arcs sorted by (FromPc, SelfPc) with
-/// duplicate keys coalesced.  Canonical form is what the store serializes,
-/// digests, and feeds to the k-way merge.
-void canonicalizeProfile(ProfileData &Data);
-
-/// True if \p Data's arc table is in canonical form.
+/// True if \p Data's arc table is in canonical form
+/// (ProfileData::canonicalizeArcs): what the store serializes, digests,
+/// and feeds to the k-way merge.
 bool isCanonicalProfile(const ProfileData &Data);
 
 /// Checks that \p A and \p B may be summed (same sampling rate, same

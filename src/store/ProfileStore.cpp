@@ -343,7 +343,7 @@ Expected<Sha256Digest> ProfileStore::put(ProfileData Data,
   telemetry::ScopedDuration Timer(Latency);
   if (Error E = fault::check("store.put", Label))
     return E;
-  canonicalizeProfile(Data);
+  Data.canonicalizeArcs();
   // Single-writer section: compatibility check, dedup lookup, object
   // write, index insert, and the index.bin write-then-rename must not
   // interleave with another thread's put — two racing rewrites would each

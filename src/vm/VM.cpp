@@ -13,8 +13,6 @@ using namespace gprof;
 
 ProfileHooks::~ProfileHooks() = default;
 
-void ProfileHooks::onTickStack(const std::vector<Address> &, Address) {}
-
 void ProfileHooks::onReturn(Address) {}
 
 VM::VM(const Image &Img, VMOptions Opts) : Img(Img), Opts(Opts) {
@@ -51,18 +49,6 @@ uint64_t VM::readU64(Address Pc) const {
 
 int64_t VM::readI64(Address Pc) const {
   return static_cast<int64_t>(readU64(Pc));
-}
-
-void VM::deliverTick(Address Pc) {
-  if (!Hooks)
-    return;
-  Hooks->onTick(Pc);
-  if (!Hooks->wantsStackSamples())
-    return;
-  StackScratch.clear();
-  for (const Frame &F : Frames)
-    StackScratch.push_back(F.Func->Addr);
-  Hooks->onTickStack(StackScratch, Pc);
 }
 
 Expected<RunResult> VM::run() {
@@ -361,7 +347,8 @@ Expected<RunResult> VM::execute(const FuncInfo &Entry,
         // and finish.
         Cycles += opcodeCycleCost(Op);
         while (Cycles >= NextTickAt) {
-          deliverTick(InsnPc);
+          if (Hooks)
+            Hooks->onTick(InsnPc);
           NextTickAt += Opts.CyclesPerTick;
           ++Ticks;
         }
@@ -431,7 +418,8 @@ Expected<RunResult> VM::execute(const FuncInfo &Entry,
     // instruction's address.
     Cycles += opcodeCycleCost(Op);
     while (Cycles >= NextTickAt) {
-      deliverTick(InsnPc);
+      if (Hooks)
+        Hooks->onTick(InsnPc);
       NextTickAt += Opts.CyclesPerTick;
       ++Ticks;
     }

@@ -36,7 +36,10 @@
 
 namespace gprof {
 
-/// Receives profiling events from the VM.
+/// Receives profiling events from the VM: the mcount arc (onCall), the
+/// clock tick (onTick) and the matching return (onReturn).  These three
+/// events are all a profiler gets; a calling-context recorder
+/// (runtime/CctRecorder) rebuilds the active call chain from them.
 class ProfileHooks {
 public:
   virtual ~ProfileHooks();
@@ -58,18 +61,6 @@ public:
   /// context recorder — the ordering the CCT/flat-profile equivalence
   /// invariant depends on (docs/RUNTIME_MT.md).  Default: ignored.
   virtual void onReturn(Address SelfPc);
-
-  /// Opt-in to call-stack snapshots: when this returns true the VM also
-  /// calls onTickStack for every tick.  This is the retrospective's
-  /// "modern profilers ... periodically gathering not just isolated
-  /// program counter samples and isolated call graph arcs, but complete
-  /// call stacks"; building the snapshot costs extra work per tick, which
-  /// is why such profilers back off their sampling frequency.
-  virtual bool wantsStackSamples() const { return false; }
-
-  /// A clock tick with the full call stack: entry addresses of the active
-  /// frames, outermost first; \p Pc is the interrupted instruction.
-  virtual void onTickStack(const std::vector<Address> &Stack, Address Pc);
 };
 
 /// Execution limits and clock configuration.
@@ -133,7 +124,6 @@ private:
   Expected<RunResult> execute(const FuncInfo &Entry,
                               const std::vector<int64_t> &Args);
   Error trap(Address Pc, const std::string &Message) const;
-  void deliverTick(Address Pc);
 
   uint16_t readU16(Address Pc) const;
   uint64_t readU64(Address Pc) const;
@@ -148,7 +138,6 @@ private:
   std::vector<int64_t> Stack;
   std::vector<int64_t> Locals;
   std::vector<Frame> Frames;
-  std::vector<Address> StackScratch;
 
   uint64_t Cycles = 0;
   uint64_t NextTickAt = 0;

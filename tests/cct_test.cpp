@@ -12,7 +12,9 @@
 /// merged extract() against the merge of the per-stream references).
 /// Also exercises the edge semantics the reference makes explicit:
 /// unmatched returns, moncontrol-suppressed frames, node-cap overflow
-/// attribution, and the reset()-mid-run spine rebuild.
+/// attribution, and the reset()-mid-run spine rebuild.  Last, runs TL
+/// programs on the VM under RecordContexts and checks the exact times
+/// core/ContextTree derives from the recorded tree.
 ///
 /// Thread-safety claims are only fully proven instrumented; the
 /// gprof_cct_smoke ctest target runs this suite and is meant to be
@@ -20,14 +22,20 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/ContextTree.h"
+#include "core/SymbolTable.h"
 #include "gmon/GmonFile.h"
 #include "runtime/CctRecorder.h"
 #include "runtime/Monitor.h"
 #include "support/Random.h"
+#include "vm/CodeGen.h"
+#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -345,4 +353,141 @@ TEST(CctRecorderTest, SnapshotPrunesSubtreesWithNoCounts) {
   Rec.leave(0x100);
   Rec.reset(); // nothing active: the whole tree resets away
   EXPECT_TRUE(Rec.snapshot().empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Exact times from a VM run (core/ContextTree)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A TL program's run under RecordContexts and its analyzed tree.  Held
+/// by pointer because the tree borrows the symbol table.
+struct ContextRun {
+  SymbolTable Syms;
+  ProfileData Data;
+  std::optional<ContextTree> Tree;
+
+  uint64_t allTicks() const { return Data.Hist.totalSamples(); }
+  uint64_t selfTicks(const char *Name) const {
+    return Tree->exactSelfTicks(Syms.findByName(Name));
+  }
+  uint64_t totalTicks(const char *Name) const {
+    return Tree->exactTotalTicks(Syms.findByName(Name));
+  }
+  /// Inclusive ticks of \p Callee's contexts entered from \p Caller.
+  uint64_t arcTicks(const char *Caller, const char *Callee) const {
+    uint32_t From = Syms.findByName(Caller), To = Syms.findByName(Callee);
+    uint64_t Sum = 0;
+    for (size_t I = 0; I != Tree->size(); ++I) {
+      const ContextEntry &E = Tree->node(I);
+      if (E.Routine == To && E.Maximal && E.Parent != CctRootParent &&
+          Tree->node(E.Parent).Routine == From)
+        Sum += E.InclusiveTicks;
+    }
+    return Sum;
+  }
+};
+
+std::unique_ptr<ContextRun> runWithContexts(std::string_view Source) {
+  CodeGenOptions CG;
+  CG.EnableProfiling = true;
+  Image Img = compileTLOrDie(Source, CG);
+  MonitorOptions MO;
+  MO.RecordContexts = true;
+  Monitor Mon(Img.lowPc(), Img.highPc(), MO);
+  VMOptions VO;
+  VO.CyclesPerTick = 50;
+  VM Machine(Img, VO);
+  Machine.setHooks(&Mon);
+  cantFail(Machine.run());
+
+  auto R = std::make_unique<ContextRun>();
+  R->Syms = SymbolTable::fromImage(Img);
+  R->Data = Mon.finish();
+  R->Tree.emplace(cantFail(ContextTree::build(R->Data, R->Syms)));
+  return R;
+}
+
+} // namespace
+
+TEST(ContextTreeTest, SelfAndTotalTimes) {
+  auto R = runWithContexts(R"(
+    fn leaf(n) {
+      var i = 0;
+      var a = 0;
+      while (i < n) { a = a + i * i; i = i + 1; }
+      return a;
+    }
+    fn mid(n) { return leaf(n) + leaf(n); }
+    fn main() { return mid(3000); }
+  )");
+  const double All = static_cast<double>(R->allTicks());
+  ASSERT_GT(All, 0.0);
+  // Nearly all time is inside leaf; main and mid inherit it.
+  EXPECT_GT(R->selfTicks("leaf"), 0.9 * All);
+  EXPECT_GT(R->totalTicks("mid"), 0.9 * All);
+  EXPECT_GT(R->totalTicks("main"), 0.99 * All);
+  EXPECT_LT(R->selfTicks("mid"), 0.1 * All);
+  ASSERT_FALSE(R->Tree->routines().empty());
+  for (uint32_t Routine : R->Tree->routines())
+    EXPECT_LE(R->Tree->exactSelfTicks(Routine),
+              R->Tree->exactTotalTicks(Routine));
+}
+
+TEST(ContextTreeTest, RecursionCountedOnce) {
+  auto R = runWithContexts(R"(
+    fn down(n) {
+      if (n == 0) { return 0; }
+      var i = 0;
+      var a = 0;
+      while (i < 50) { a = a + i; i = i + 1; }
+      return a + down(n - 1);
+    }
+    fn main() { return down(200); }
+  )");
+  const uint64_t All = R->allTicks();
+  ASSERT_GT(All, 0u);
+  // Up to 200 nested contexts of down, yet each tick counts once.
+  EXPECT_LE(R->totalTicks("down"), All);
+  EXPECT_GT(R->totalTicks("down"), 0.9 * static_cast<double>(All));
+}
+
+TEST(ContextTreeTest, ArcTimesFollowTheCallingContext) {
+  auto R = runWithContexts(R"(
+    fn spin(n) {
+      var i = 0;
+      var a = 0;
+      while (i < n) { a = a + i; i = i + 1; }
+      return a;
+    }
+    fn light() { return spin(40); }
+    fn heavy() { return spin(4000); }
+    fn main() {
+      var i = 0;
+      var a = 0;
+      while (i < 10) { a = a + light(); i = i + 1; }
+      return a + heavy();
+    }
+  )");
+  // heavy's single call dwarfs light's ten, though light calls more.
+  ASSERT_GT(R->arcTicks("light", "spin"), 0u);
+  EXPECT_GT(R->arcTicks("heavy", "spin"), 5 * R->arcTicks("light", "spin"));
+  EXPECT_EQ(R->arcTicks("main", "spin"), 0u);
+}
+
+TEST(ContextTreeTest, SelfTicksAccountForEverySample) {
+  auto R = runWithContexts(R"(
+    fn work(n) {
+      var i = 0;
+      while (i < n) { i = i + 1; }
+      return i;
+    }
+    fn main() { return work(3000) + work(30); }
+  )");
+  ASSERT_GT(R->allTicks(), 0u);
+  uint64_t Self = R->Tree->unattributedTicks();
+  for (uint32_t Routine : R->Tree->routines())
+    Self += R->Tree->exactSelfTicks(Routine);
+  EXPECT_EQ(Self, R->allTicks());
 }

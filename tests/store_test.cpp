@@ -69,7 +69,7 @@ std::vector<ProfileData> makeShards(size_t N, uint64_t Seed) {
   std::vector<ProfileData> Shards;
   for (size_t I = 0; I != N; ++I) {
     ProfileData D = makeShard(Seed + I);
-    canonicalizeProfile(D);
+    D.canonicalizeArcs();
     Shards.push_back(std::move(D));
   }
   return Shards;
@@ -174,7 +174,7 @@ TEST(ThreadPoolTest, DestructorCompletesQueuedFutures) {
 TEST(MergeEngineTest, CanonicalizeSortsAndCoalesces) {
   ProfileData D;
   D.Arcs = {{30, 1, 2}, {10, 5, 1}, {30, 1, 3}, {10, 2, 4}};
-  canonicalizeProfile(D);
+  D.canonicalizeArcs();
   ASSERT_EQ(D.Arcs.size(), 3u);
   EXPECT_EQ(D.Arcs[0].FromPc, 10u);
   EXPECT_EQ(D.Arcs[0].SelfPc, 2u);
@@ -189,7 +189,7 @@ TEST(MergeEngineTest, MatchesSequentialFold) {
   ProfileData Fold = Shards.front();
   for (size_t I = 1; I != Shards.size(); ++I)
     cantFail(Fold.merge(Shards[I]));
-  canonicalizeProfile(Fold);
+  Fold.canonicalizeArcs();
 
   auto Merged = mergeProfiles(Shards);
   ASSERT_TRUE(static_cast<bool>(Merged));

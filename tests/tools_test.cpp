@@ -255,17 +255,6 @@ TEST_F(ToolsTest, GprofExcludeTime) {
       << Out;
 }
 
-TEST_F(ToolsTest, TlrunStackMode) {
-  std::string Out;
-  int Rc = runCommand(format("%s --stack -q --cycles-per-tick 100 %s",
-                             TLRUN_PATH, Img->c_str()),
-                      Out);
-  EXPECT_EQ(Rc, 0) << Out;
-  EXPECT_NE(Out.find("stack-sample profile"), std::string::npos);
-  EXPECT_NE(Out.find("incl secs"), std::string::npos);
-  EXPECT_NE(Out.find("main"), std::string::npos);
-}
-
 TEST_F(ToolsTest, TlcDumpAst) {
   std::string Out;
   int Rc = runCommand(format("%s --dump-ast %s", TLC_PATH, Src->c_str()),
