@@ -7,9 +7,10 @@
 /// \file
 /// Measures the profile store's aggregation engine over a fleet-sized shard
 /// set, in two sections.  Engine: 256 synthetic gmon shards merged by (a)
-/// the historical sequential fold (ProfileData::merge, linear-scan addArc)
-/// and (b) the parallel k-way merge tree at 1/2/4/8 workers, checking that
-/// every configuration produces byte-identical output.  Compaction: a real
+/// a pairwise fold (ProfileData::merge one shard at a time, so every step
+/// copies the growing sum) and (b) one k-way merge tree (mergeProfiles) at
+/// 1/2/4/8 workers, checking that every configuration produces
+/// byte-identical output.  Compaction: a real
 /// on-disk store at 256 and 1024 shards, comparing the cold flat-merge
 /// report (every object read and merged) against the report after LSM
 /// compaction (a handful of tiered runs), asserting that the compacted
@@ -22,7 +23,7 @@
 
 #include "bench/BenchUtil.h"
 #include "gmon/GmonFile.h"
-#include "store/MergeEngine.h"
+#include "gmon/ProfileData.h"
 #include "store/ProfileStore.h"
 #include "support/Random.h"
 #include "support/ThreadPool.h"
@@ -140,17 +141,17 @@ int main(int Argc, char **Argv) {
   Json.set("engine_shards", uint64_t(EngineShards));
   Json.set("smoke", Smoke);
 
-  // Baseline: the pre-store sequential fold (what readAndSumGmonFiles
-  // does), quadratic in the merged arc table.
+  // Baseline: a pairwise fold through ProfileData::merge.  Each step is a
+  // two-input merge that rebuilds the whole sum, so M shards cost
+  // O(M^2) record copies.
   ProfileData Fold;
   double FoldMs = timeMs([&] {
     Fold = Shards.front();
     for (size_t I = 1; I != Shards.size(); ++I)
       cantFail(Fold.merge(Shards[I]));
   });
-  Fold.canonicalizeArcs();
   std::vector<uint8_t> Reference = writeGmon(Fold);
-  row({"sequential fold", "1", format("%.2f", FoldMs), "1.00x"}, 16);
+  row({"pairwise fold", "1", format("%.2f", FoldMs), "1.00x"}, 16);
   Json.set("fold_ms", FoldMs);
 
   bool Identical = true;
@@ -209,7 +210,8 @@ int main(int Argc, char **Argv) {
               "output");
   if (!Smoke) {
     Ok &= check(KWay1Ms < FoldMs,
-                "the k-way merge beats the quadratic sequential fold");
+                "the k-way merge beats the pairwise ProfileData::merge "
+                "fold");
     Ok &= check(BestParallelMs <= KWay1Ms * 1.10,
                 "parallel workers do not lose to single-threaded k-way "
                 "(within 10% even on one core)");

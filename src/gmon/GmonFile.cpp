@@ -710,27 +710,20 @@ gprof::readAndSumGmonFiles(const std::vector<std::string> &Paths,
                            std::vector<GmonFileSalvage> *Salvages) {
   if (Paths.empty())
     return Error::failure("no gmon files given");
-  auto RecordSalvage = [&](const std::string &Path, GmonSalvage &S) {
+  std::vector<ProfileData> Profiles;
+  Profiles.reserve(Paths.size());
+  for (const std::string &Path : Paths) {
+    GmonSalvage S;
+    auto Data = readGmonFile(Path, Opts, &S);
+    if (!Data)
+      return Data.takeError();
     if (Salvages && S.Damaged)
       Salvages->push_back({Path, std::move(S)});
-  };
-  GmonSalvage S;
-  auto First = readGmonFile(Paths.front(), Opts, &S);
-  if (!First)
-    return First.takeError();
-  RecordSalvage(Paths.front(), S);
-  ProfileData Sum = First.takeValue();
-  for (size_t I = 1; I != Paths.size(); ++I) {
-    auto Next = readGmonFile(Paths[I], Opts, &S);
-    if (!Next)
-      return Next.takeError();
-    RecordSalvage(Paths[I], S);
-    // Name both sides: the accumulated sum carries the geometry of the
-    // first file, so a mismatch is between Paths[I] and Paths[0].
-    if (Error E = Sum.merge(*Next))
-      return Error::failure(format("cannot sum '%s' with '%s': %s",
-                                   Paths[I].c_str(), Paths.front().c_str(),
-                                   E.message().c_str()));
+    Profiles.push_back(Data.takeValue());
   }
-  return Sum;
+  // One file is returned as read; several sum through the one merge,
+  // which names the two files of any mismatch.
+  if (Profiles.size() == 1)
+    return std::move(Profiles.front());
+  return mergeProfiles(Profiles, /*Pool=*/nullptr, &Paths);
 }

@@ -128,9 +128,10 @@ struct GmonFileSalvage {
 };
 
 /// Reads and sums several gmon files (gprof's "sum the data over several
-/// profiled runs").  At least one path is required.  Under tolerant
-/// options, damaged inputs contribute their salvaged prefix and are
-/// appended to \p Salvages (when non-null).
+/// profiled runs").  At least one path is required.  One file comes back
+/// as read; several sum through mergeProfiles, so the sum is canonical.
+/// Under tolerant options, damaged inputs contribute their salvaged prefix
+/// and are appended to \p Salvages (when non-null).
 Expected<ProfileData>
 readAndSumGmonFiles(const std::vector<std::string> &Paths,
                     const GmonReadOptions &Opts = {},

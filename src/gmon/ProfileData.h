@@ -8,7 +8,7 @@
 /// The in-memory form of the data the monitoring run condenses to a file at
 /// program exit (paper §3.2): the arc table — "the source and destination
 /// addresses of the arc and the count of the number of times the arc was
-/// traversed" — and the PC sample histogram.  ProfileData also implements
+/// traversed" — and the PC sample histogram.  mergeProfiles implements
 /// multi-run summing: "the profile data for several executions of a
 /// program can be combined by the post-processing to provide a profile of
 /// many executions" (§3).
@@ -22,9 +22,12 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace gprof {
+
+class ThreadPool;
 
 /// One condensed call-graph arc: a call site (the "from" PC, inside the
 /// caller), the callee's entry address, and a traversal count.
@@ -90,23 +93,16 @@ struct ProfileData {
            static_cast<double>(TicksPerSecond);
   }
 
-  /// Adds \p Count traversals for (FromPc, SelfPc), merging with an
-  /// existing record if present.  Amortized O(1): a lazily built hash
-  /// index over (FromPc, SelfPc) replaces the historical linear scan, so
-  /// summing M files of A arcs is O(M·A) rather than O(M·A²).  Counts
-  /// saturate at UINT64_MAX (see saturatingAdd), tallied on the
-  /// "gmon.arcs.saturated" telemetry counter.
-  void addArc(Address FromPc, Address SelfPc, uint64_t Count);
+  /// Appends one record of \p Count traversals for (FromPc, SelfPc).
+  /// Several records may share a key; canonicalizeArcs (or a merge)
+  /// coalesces them.
+  void addArc(Address FromPc, Address SelfPc, uint64_t Count) {
+    Arcs.push_back({FromPc, SelfPc, Count});
+  }
 
-  /// Sums \p Other into this profile (gprof -s).  Sampling rates must
-  /// match; histogram geometries must match unless one side is empty, in
-  /// which case the empty side adopts the other's geometry (a run that
-  /// recorded arcs but no samples is still summable).
+  /// Sums \p Other into this profile through mergeProfiles, so the result
+  /// is canonical and fails exactly where mergeProfiles does.
   Error merge(const ProfileData &Other);
-
-  /// Total traversals recorded into the callee at \p SelfPc.  Served
-  /// from a lazily built per-callee total index, not a table scan.
-  uint64_t callsInto(Address SelfPc) const;
 
   /// Puts Arcs into canonical form: duplicate (FromPc, SelfPc) records
   /// are coalesced (saturating) and the table is sorted by (FromPc,
@@ -115,6 +111,7 @@ struct ProfileData {
   /// were discovered in — the property Monitor::extract() relies on to
   /// make a merged multi-thread snapshot byte-identical to a
   /// single-thread run of the same call sequence (docs/RUNTIME_MT.md).
+  /// Clamped adds are tallied on the "gmon.arcs.saturated" gauge.
   void canonicalizeArcs();
 
   /// Folds another context tree into Contexts: paths present in both
@@ -131,57 +128,45 @@ struct ProfileData {
   /// makes a merged multi-thread CCT snapshot byte-identical to a
   /// single-thread run of the same logical call sequence.
   void canonicalizeContexts();
-
-  /// Drops the lazy arc indexes.  The indexes revalidate themselves when
-  /// Arcs changes size or an entry moves, so most direct mutation of
-  /// Arcs needs no call here; call it after mutating Count values in
-  /// place on a profile that addArc or callsInto has already indexed.
-  void invalidateArcIndex() const;
-
-private:
-  /// One slot of the open-addressing (from, self) -> position table.
-  /// PosPlus1 == 0 marks an empty slot, so a zeroed table is valid.
-  struct ArcSlot {
-    Address FromPc;
-    Address SelfPc;
-    size_t PosPlus1;
-  };
-  /// One slot of the open-addressing callee -> total table.
-  struct CalleeSlot {
-    Address SelfPc;
-    uint64_t Total;
-    bool Used;
-  };
-
-  /// Lazy caches over Arcs: (from, self) -> position, and callee ->
-  /// total.  Rebuilt whenever Arcs' size disagrees with IndexedArcs or a
-  /// position lookup finds the wrong key (external code sorted or
-  /// rebuilt the table).  Copies stay consistent: positions are
-  /// positional, not pointers.
-  ///
-  /// Both are flat open-addressing tables (power-of-two capacity, linear
-  /// probe, ≤50% load) rather than node-based unordered_maps: summing a
-  /// store's worth of arcs through addArc used to pay one heap node plus
-  /// a pointer chase per arc; now a probe is one or two contiguous loads
-  /// and a miss inserts with zero allocation (docs/READPATH.md).
-  void rebuildArcIndex() const;
-  /// Slot index holding (FromPc, SelfPc), or the empty slot where it
-  /// would be inserted.  Capacity must be nonzero.
-  size_t arcProbe(Address FromPc, Address SelfPc) const;
-  size_t calleeProbe(Address SelfPc) const;
-  /// Doubles the respective table when its load factor reaches 1/2.
-  void growArcSlots() const;
-  void growCalleeSlots() const;
-  /// Adds \p Delta (saturating) to the callee total for \p SelfPc.
-  void calleeAdd(Address SelfPc, uint64_t Delta) const;
-
-  mutable std::vector<ArcSlot> ArcSlots;
-  mutable std::vector<CalleeSlot> CalleeSlots;
-  mutable size_t ArcSlotsUsed = 0;
-  mutable size_t CalleeSlotsUsed = 0;
-  mutable size_t IndexedArcs = 0;
-  mutable bool ArcIndexValid = false;
 };
+
+/// True if \p Data's arc table is in canonical form (canonicalizeArcs):
+/// strictly ascending (FromPc, SelfPc), so no key repeats.
+bool isCanonicalProfile(const ProfileData &Data);
+
+/// Checks that \p A and \p B may be summed (same sampling rate, same
+/// histogram geometry; an empty histogram is compatible with any geometry).
+/// \p NameA / \p NameB label the two sides in the error message (file
+/// paths, digests, ...).
+Error checkMergeCompatible(const ProfileData &A, const ProfileData &B,
+                           const std::string &NameA, const std::string &NameB);
+
+/// Sums \p Profiles into one canonical profile — the only summing path:
+/// gprof -s, ProfileData::merge, the store's aggregates and its
+/// compaction all come here.  Every profile is checked against the first
+/// sampled one with checkMergeCompatible, labelled by \p Names (when
+/// given, one per profile) or by position.  Arc tables are k-way merged
+/// with a heap (a non-canonical table is canonicalized on the way in),
+/// histograms add with Histogram::merge, context trees fold into one
+/// canonical tree, run counts add and the overflow flags OR.
+///
+/// With a \p Pool of several workers and at least four profiles, the list
+/// is cut into one contiguous chunk per worker, each chunk merges
+/// concurrently, and the partial sums merge on the calling thread.  Every
+/// combining operation is exact integer arithmetic (saturating adds are
+/// min(true sum, max) for any grouping) and the output order is canonical,
+/// so the bytes are identical for any pool width and any input order.  No
+/// pointer may be null.
+Expected<ProfileData>
+mergeProfiles(const std::vector<const ProfileData *> &Profiles,
+              ThreadPool *Pool = nullptr,
+              const std::vector<std::string> *Names = nullptr);
+
+/// Same contract over a contiguous vector.
+Expected<ProfileData>
+mergeProfiles(const std::vector<ProfileData> &Profiles,
+              ThreadPool *Pool = nullptr,
+              const std::vector<std::string> *Names = nullptr);
 
 } // namespace gprof
 

@@ -59,7 +59,8 @@ Monitor::ThreadState &Monitor::registerThisThread() {
   if (!Slot) {
     auto State = std::make_unique<ThreadState>();
     State->Arcs = makeTable();
-    State->Hist = Histogram(LowPc, HighPc, Opts.HistBucketSize);
+    if (Opts.SampleHistogram)
+      State->Hist = Histogram(LowPc, HighPc, Opts.HistBucketSize);
     if (Opts.RecordContexts)
       State->Cct = std::make_unique<CctRecorder>(Opts.CctNodeLimit);
     Slot = State.get();
@@ -112,7 +113,8 @@ void Monitor::reset() {
   std::lock_guard<std::mutex> Lock(RegistryMutex);
   for (const auto &T : Threads) {
     T->Arcs->reset();
-    T->Hist = Histogram(LowPc, HighPc, Opts.HistBucketSize);
+    if (Opts.SampleHistogram)
+      T->Hist = Histogram(LowPc, HighPc, Opts.HistBucketSize);
     T->HistTicks = 0;
     if (T->Cct)
       T->Cct->reset();
@@ -218,7 +220,7 @@ void Monitor::publishTelemetry() const {
   counter("runtime.hist.ticks").set(Ticks);
   counter("runtime.hist.out_of_range").set(OutOfRange);
   counter("runtime.hist.buckets")
-      .set(Histogram(LowPc, HighPc, Opts.HistBucketSize).numBuckets());
+      .set((HighPc - LowPc + Opts.HistBucketSize - 1) / Opts.HistBucketSize);
   counter("runtime.threads.registered").set(NumThreads);
   if (Opts.RecordContexts) {
     CctStats C = cctStats();
@@ -247,10 +249,10 @@ ProfileData Monitor::extract() const {
   {
     std::lock_guard<std::mutex> Lock(RegistryMutex);
     for (const auto &T : Threads) {
-      for (const ArcRecord &R : T->Arcs->snapshot())
-        Data.addArc(R.FromPc, R.SelfPc, R.Count);
-      // Geometries are identical by construction, so the merge cannot
-      // fail.
+      std::vector<ArcRecord> Arcs = T->Arcs->snapshot();
+      Data.Arcs.insert(Data.Arcs.end(), Arcs.begin(), Arcs.end());
+      // Geometries are identical by construction (a thread that sampled
+      // nothing holds an empty histogram), so the merge cannot fail.
       cantFail(Data.Hist.merge(T->Hist));
       Overflow = Overflow || T->Arcs->overflowed();
       if (T->Cct) {

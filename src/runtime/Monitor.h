@@ -25,10 +25,9 @@
 /// the paper demands ("access to it must be as fast as possible") with no
 /// locks and no atomic read-modify-writes.  Only registration (once per
 /// thread) and the snapshot/reset/telemetry paths take the registry
-/// mutex.  extract() folds every per-thread table through
-/// ProfileData::addArc and canonicalizes the result, so the merged
-/// snapshot is byte-identical to a single-thread run of the same logical
-/// call sequence.
+/// mutex.  extract() appends every per-thread table and canonicalizes the
+/// result, so the merged snapshot is byte-identical to a single-thread run
+/// of the same logical call sequence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,9 +119,9 @@ public:
   void reset();
 
   /// Snapshots the current data without disturbing collection (kernel
-  /// interface "extract"): folds every per-thread table through
-  /// ProfileData::addArc, sums the per-thread histograms, and
-  /// canonicalizes arc order.  No stop-the-world: threads keep recording
+  /// interface "extract"): appends every per-thread arc table, sums the
+  /// per-thread histograms, and canonicalizes the arcs (coalescing the
+  /// records that several threads hold for one arc).  No stop-the-world: threads keep recording
   /// into their own tables and new threads may register while the fold
   /// runs.  For an exact (and race-free) snapshot the profiled threads
   /// must be quiescent, as with reset().
@@ -170,6 +169,7 @@ private:
   /// the quiescent point before a snapshot; no member is atomic.
   struct ThreadState {
     std::unique_ptr<ArcRecorder> Arcs;
+    /// Empty (no buckets allocated) unless Opts.SampleHistogram.
     Histogram Hist;
     uint64_t HistTicks = 0; ///< onTick deliveries recorded (exact).
     /// Calling-context tree, present only when Opts.RecordContexts.

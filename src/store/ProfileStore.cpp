@@ -7,7 +7,6 @@
 #include "store/ProfileStore.h"
 
 #include "gmon/GmonFile.h"
-#include "store/MergeEngine.h"
 #include "support/BinaryStream.h"
 #include "support/EventLog.h"
 #include "support/FaultInjection.h"
@@ -502,6 +501,7 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
   static telemetry::DurationHistogram &Latency =
       telemetry::histogram("store.merge.latency");
   telemetry::ScopedDuration Timer(Latency);
+  telemetry::Span Phase("store.merge");
   if (Error E = fault::check("store.merge", Root))
     return E;
 

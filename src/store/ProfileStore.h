@@ -21,10 +21,12 @@
 /// matter how its arcs were ordered on disk.  Ingest validates
 /// compatibility — sampling rate, histogram geometry, and (when known) the
 /// identity of the profiled VM image — so a store never accumulates shards
-/// that cannot be summed.  Aggregation runs on the parallel k-way merge
-/// tree (store/MergeEngine.h) and is deterministic, which is what makes
-/// the aggregate cache sound: the cache key depends only on the member
-/// digest set, never on thread count or ingest order.
+/// that cannot be summed.  Aggregation runs on mergeProfiles
+/// (gmon/ProfileData.h), the parallel k-way merge tree that gprof -s also
+/// sums with, so aggregates keep their context trees.  It is
+/// deterministic, which is what makes the aggregate cache sound: the cache
+/// key depends only on the member digest set, never on thread count or
+/// ingest order.
 ///
 /// Aggregation is *tiered* (log-structured merge): freshly ingested shards
 /// sit at level 0, and compaction folds the oldest Fanout of them into a

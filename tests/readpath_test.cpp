@@ -9,8 +9,8 @@
 /// fallback semantics under injected faults, a differential corpus
 /// proving the in-place gmon parser bit-identical to the legacy
 /// BinaryStream reference reader over every truncation cut and byte
-/// mutation (strict and tolerant), and the flat symbol resolver and
-/// open-addressing arc index against their historical behavior.
+/// mutation (strict and tolerant), the flat symbol resolver against its
+/// historical behavior, and canonical arc tables.
 ///
 /// The ReadPathCorpusTest suite doubles as the ASan smoke body: the
 /// in-place parser reads borrowed bytes with manual bounds checks, so
@@ -476,50 +476,8 @@ TEST_F(ResolverTest, SymbolAccessorServesValidIndicesUnchecked) {
 }
 
 //===----------------------------------------------------------------------===//
-// Open-addressing arc index (ProfileData)
+// Canonical arc tables (ProfileData)
 //===----------------------------------------------------------------------===//
-
-TEST_F(ArcIndexTest, AddArcAccumulatesAndIndexesCalleeTotals) {
-  ProfileData D;
-  for (uint64_t I = 0; I != 1000; ++I) {
-    D.addArc(0x100 + (I % 50) * 8, 0x4000, 1);
-    D.addArc(0x100 + (I % 50) * 8, 0x5000, 2);
-  }
-  EXPECT_EQ(D.Arcs.size(), 100u); // 50 call sites x 2 callees
-  EXPECT_EQ(D.callsInto(0x4000), 1000u);
-  EXPECT_EQ(D.callsInto(0x5000), 2000u);
-  EXPECT_EQ(D.callsInto(0x6000), 0u);
-  for (const ArcRecord &R : D.Arcs)
-    EXPECT_EQ(R.Count, R.SelfPc == 0x4000 ? 20u : 40u);
-}
-
-TEST_F(ArcIndexTest, ExternalReorderIsDetectedAndReindexed) {
-  ProfileData D;
-  D.addArc(0x10, 0x100, 1);
-  D.addArc(0x20, 0x200, 2);
-  D.addArc(0x30, 0x300, 3);
-  // Reorder Arcs behind the index's back; the next addArc must detect
-  // the stale position and accumulate into the right record anyway.
-  std::reverse(D.Arcs.begin(), D.Arcs.end());
-  D.addArc(0x10, 0x100, 10);
-  uint64_t Count = 0;
-  for (const ArcRecord &R : D.Arcs)
-    if (R.FromPc == 0x10 && R.SelfPc == 0x100)
-      Count = R.Count;
-  EXPECT_EQ(Count, 11u);
-  EXPECT_EQ(D.Arcs.size(), 3u);
-  EXPECT_EQ(D.callsInto(0x100), 11u);
-}
-
-TEST_F(ArcIndexTest, DirectPushIsReindexedOnNextAddArc) {
-  ProfileData D;
-  D.Arcs.push_back({0x10, 0x100, 5});
-  D.Arcs.push_back({0x20, 0x100, 7});
-  D.addArc(0x10, 0x100, 1); // size mismatch triggers a rebuild first
-  EXPECT_EQ(D.Arcs.size(), 2u);
-  EXPECT_EQ(D.Arcs[0].Count, 6u);
-  EXPECT_EQ(D.callsInto(0x100), 13u);
-}
 
 TEST_F(ArcIndexTest, CanonicalizeCoalescesDuplicatesAndSorts) {
   ProfileData D;
@@ -532,7 +490,6 @@ TEST_F(ArcIndexTest, CanonicalizeCoalescesDuplicatesAndSorts) {
   EXPECT_EQ(D.Arcs[0].Count, 1u);
   EXPECT_EQ(D.Arcs[1].FromPc, 0x30u);
   EXPECT_EQ(D.Arcs[1].Count, 7u);
-  EXPECT_EQ(D.callsInto(0x300), 7u);
 }
 
 TEST_F(ArcIndexTest, MergeSumsThroughTheFlatIndex) {

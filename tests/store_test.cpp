@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "gmon/GmonFile.h"
-#include "store/MergeEngine.h"
+#include "gmon/ProfileData.h"
 #include "store/ProfileStore.h"
 #include "support/FileUtils.h"
 #include "support/Random.h"
@@ -80,6 +80,35 @@ template <typename T> void shuffle(std::vector<T> &V, uint64_t Seed) {
   SplitMix64 Rng(Seed);
   for (size_t I = V.size(); I > 1; --I)
     std::swap(V[I - 1], V[Rng.nextBelow(I)]);
+}
+
+/// A shard that also carries a calling-context tree.  Keys come from
+/// small pools so that paths of different shards coincide and coalesce.
+ProfileData makeContextShard(uint64_t Seed, bool Overflowed) {
+  ProfileData D = makeShard(Seed);
+  SplitMix64 Rng(Seed ^ 0xC0C7);
+  for (uint32_t I = 0; I != 24; ++I) {
+    CctNode N;
+    if (I != 0 && Rng.nextBelow(4) != 0)
+      N.Parent = static_cast<uint32_t>(Rng.nextBelow(I));
+    N.FromPc = 0x1000 + Rng.nextBelow(4) * 8;
+    N.SelfPc = 0x1000 + Rng.nextBelow(4) * 128;
+    N.Calls = 1 + Rng.nextBelow(9);
+    N.Ticks = Rng.nextBelow(5);
+    D.Contexts.push_back(N);
+  }
+  D.canonicalizeContexts();
+  D.ContextTreeOverflowed = Overflowed;
+  return D;
+}
+
+/// Total traversals recorded into the callee at \p SelfPc.
+uint64_t callsInto(const ProfileData &D, Address SelfPc) {
+  uint64_t Total = 0;
+  for (const ArcRecord &R : D.Arcs)
+    if (R.SelfPc == SelfPc)
+      Total = saturatingAdd(Total, R.Count);
+  return Total;
 }
 
 } // namespace
@@ -168,7 +197,7 @@ TEST(ThreadPoolTest, DestructorCompletesQueuedFutures) {
 }
 
 //===----------------------------------------------------------------------===//
-// MergeEngine
+// mergeProfiles (gmon/ProfileData.h)
 //===----------------------------------------------------------------------===//
 
 TEST(MergeEngineTest, CanonicalizeSortsAndCoalesces) {
@@ -398,7 +427,52 @@ TEST(ProfileStoreTest, UnsampledShardsIngestAndMerge) {
   EXPECT_EQ(Merged->Data.RunCount, 2u);
   EXPECT_EQ(Merged->Data.Hist.totalSamples(),
             makeShard(1).Hist.totalSamples());
-  EXPECT_EQ(Merged->Data.callsInto(0x1040), 9u);
+  EXPECT_EQ(callsInto(Merged->Data, 0x1040), 9u);
+}
+
+TEST(ProfileStoreTest, MergeKeepsContextTrees) {
+  // Regression: the store summed shards with a merge of its own that
+  // dropped Contexts and ContextTreeOverflowed, so an aggregate of context
+  // shards came out as gmon v1 without a tree.  The store now sums with
+  // the same function as ProfileData::merge: same bytes at any pool
+  // width, and again after compaction folded the shards into runs.
+  for (size_t NumShards : {2u, 8u}) {
+    std::vector<ProfileData> Shards;
+    for (size_t I = 0; I != NumShards; ++I)
+      Shards.push_back(makeContextShard(40 + I, /*Overflowed=*/I == 1));
+    ProfileData Fold = Shards.front();
+    for (size_t I = 1; I != NumShards; ++I)
+      cantFail(Fold.merge(Shards[I]));
+    ASSERT_FALSE(Fold.Contexts.empty());
+    ASSERT_TRUE(Fold.ContextTreeOverflowed);
+    std::vector<uint8_t> Expected = writeGmon(Fold);
+
+    for (unsigned Workers : {1u, 4u}) {
+      TempStoreDir Dir("contexts_" + std::to_string(NumShards) + "_" +
+                       std::to_string(Workers));
+      StoreOptions SO;
+      SO.CompactionFanout = 2;
+      auto Store = ProfileStore::open(Dir.Path, SO);
+      ASSERT_TRUE(static_cast<bool>(Store));
+      for (const ProfileData &S : Shards)
+        cantFail(Store->put(S).takeError());
+      ThreadPool Pool(Workers);
+      auto Flat = Store->merge({}, &Pool);
+      ASSERT_TRUE(static_cast<bool>(Flat));
+      EXPECT_EQ(writeGmon(Flat->Data), Expected)
+          << NumShards << " shards, " << Workers << " workers";
+      EXPECT_TRUE(Flat->Data.ContextTreeOverflowed);
+
+      cantFail(Store->compact(&Pool).takeError());
+      cantFail(removeFile(Store->cachePath(Flat->Digest)));
+      auto Tiered = Store->merge({}, &Pool);
+      ASSERT_TRUE(static_cast<bool>(Tiered));
+      EXPECT_GT(Tiered->RunsUsed, 0u);
+      EXPECT_EQ(writeGmon(Tiered->Data), Expected)
+          << NumShards << " shards, " << Workers << " workers, compacted";
+      EXPECT_TRUE(Tiered->Data.ContextTreeOverflowed);
+    }
+  }
 }
 
 TEST(ProfileStoreTest, PinsImageIdentity) {

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include <unistd.h>
@@ -212,6 +213,51 @@ TEST_F(ToolsTest, GprofSumWritesMergedFile) {
   ASSERT_TRUE(static_cast<bool>(Summed));
   EXPECT_EQ(Summed->RunCount, 2u);
   std::remove(SumPath.c_str());
+}
+
+TEST_F(ToolsTest, GprofSumMatchesStoreMerge) {
+  // gprof -s and the store sum through the same merge, so two context
+  // profiles give the same bytes either way — context tree included.
+  // Regression: the store's merge used to drop the tree (a v1 aggregate).
+  std::string G1 = tempPath("ctx1.out"), G2 = tempPath("ctx2.out");
+  std::string SumPath = tempPath("ctx_sum.out");
+  std::string MergedPath = tempPath("ctx_merged.out");
+  std::string Store = tempPath("ctx_store");
+  std::string Out;
+  auto Profile = [&](const std::string &Path, int CyclesPerTick) {
+    return runCommand(format("%s %s -c --gmon %s --cycles-per-tick %d -q",
+                             TLRUN_PATH, Img->c_str(), Path.c_str(),
+                             CyclesPerTick),
+                      Out);
+  };
+  ASSERT_EQ(Profile(G1, 100), 0) << Out;
+  ASSERT_EQ(Profile(G2, 9000), 0) << Out;
+  int Rc = runCommand(format("%s -b --flat-only -s %s %s %s %s", GPROF_PATH,
+                             SumPath.c_str(), Img->c_str(), G1.c_str(),
+                             G2.c_str()),
+                      Out);
+  ASSERT_EQ(Rc, 0) << Out;
+  Rc = runCommand(format("%s put %s %s %s", GPROF_STORE_PATH, Store.c_str(),
+                         G1.c_str(), G2.c_str()),
+                  Out);
+  ASSERT_EQ(Rc, 0) << Out;
+  Rc = runCommand(format("%s merge -o %s %s", GPROF_STORE_PATH,
+                         MergedPath.c_str(), Store.c_str()),
+                  Out);
+  ASSERT_EQ(Rc, 0) << Out;
+
+  auto Summed = readFileBytes(SumPath);
+  auto Merged = readFileBytes(MergedPath);
+  ASSERT_TRUE(static_cast<bool>(Summed));
+  ASSERT_TRUE(static_cast<bool>(Merged));
+  EXPECT_EQ(*Merged, *Summed);
+  auto Data = readGmon(*Merged);
+  ASSERT_TRUE(static_cast<bool>(Data));
+  EXPECT_FALSE(Data->Contexts.empty());
+  EXPECT_EQ(Data->RunCount, 2u);
+  for (const std::string &P : {G1, G2, SumPath, MergedPath})
+    std::remove(P.c_str());
+  std::filesystem::remove_all(Store);
 }
 
 TEST_F(ToolsTest, GprofAnnotateSource) {
