@@ -26,7 +26,7 @@
 #include "bench/BenchUtil.h"
 #include "core/Analyzer.h"
 #include "core/GraphPrinter.h"
-#include "core/SyntheticProfile.h"
+#include "tests/support/SyntheticProfile.h"
 
 #include <cmath>
 #include <cstdio>
@@ -106,12 +106,9 @@ int main() {
   B.setSelfSeconds(Leaf2, 2.50);
   B.setSelfSeconds(Other, 0.43);
 
-  auto In = B.build();
   AnalyzerOptions Opts;
   Opts.UseStaticArcs = true;
-  Analyzer An(std::move(In.Syms), Opts);
-  An.setStaticArcs(In.StaticArcs);
-  ProfileReport R = cantFail(An.analyze(In.Data));
+  ProfileReport R = cantFail(B.analyze(Opts));
 
   std::printf("\nour generated entry for EXAMPLE:\n\n%s\n",
               printCallGraphEntry(R, "EXAMPLE").c_str());

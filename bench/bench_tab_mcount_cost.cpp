@@ -183,9 +183,18 @@ double threadedMonitorCost(ArcTableKind Kind, unsigned Threads,
   return Ns;
 }
 
+/// Chain probes (tos entries inspected) per record() so far: the length
+/// of the BSD chain walk a call pays in \p Table.
+double probesPerRecord(const BsdArcTable &Table) {
+  ArcTableStats S = Table.stats();
+  return S.Records ? static_cast<double>(S.ChainProbes) /
+                         static_cast<double>(S.Records)
+                   : 0.0;
+}
+
 /// Baseline: the bare table, no monitor, single thread, built before the
-/// timed replays.
-double directTableCost(size_t Reps) {
+/// timed replays.  \p Probes receives its chain probes per record.
+double directTableCost(size_t Reps, double &Probes) {
   const auto &Events = stream();
   BsdArcTable Table(LowPc, HighPc, 1, 1u << 20);
   double Ns = nsPerRecord(Events.size() * Reps, [&] {
@@ -194,6 +203,7 @@ double directTableCost(size_t Reps) {
         Table.record(From, Self);
   });
   benchmark::DoNotOptimize(Table.snapshot().size());
+  Probes = probesPerRecord(Table);
   return Ns;
 }
 
@@ -332,14 +342,16 @@ void replayCctDirect(BsdArcTable &Table, size_t Begin, size_t End) {
 }
 
 /// Best-of-3 ns/event of the baseline, the table built before the timed
-/// replays.
-double directCctCost(size_t Reps) {
+/// replays.  \p Probes receives its chain probes per record (per call
+/// event).
+double directCctCost(size_t Reps, double &Probes) {
   BsdArcTable Table(LowPc, HighPc, 1, 1u << 20);
   double Ns = nsPerRecord(cctStream().size() * Reps, [&] {
     for (size_t R = 0; R != Reps; ++R)
       replayCctDirect(Table, 0, cctStream().size());
   });
   benchmark::DoNotOptimize(Table.snapshot().size());
+  Probes = probesPerRecord(Table);
   return Ns;
 }
 
@@ -396,10 +408,12 @@ CctGatePairs cctGatePairs() {
 bool runCctSection(bench::BenchJson &Json, size_t Reps) {
   bench::banner("E5-cct", "prologue cost with the calling-context tree "
                           "on and off (tlrun --contexts)");
-  double Direct = directCctCost(Reps);
+  double DirectProbes = 0;
+  double Direct = directCctCost(Reps, DirectProbes);
   double OffOneThread = 0, OnOneThread = 0;
   bench::row({"cct", "threads", "ns/event"});
   bench::row({"bare table", "1", format("%.2f", Direct)});
+  std::printf("bare table: %.2f chain probes per record\n", DirectProbes);
   for (bool Contexts : {false, true}) {
     for (unsigned Threads : {1u, 2u, 8u}) {
       double Ns = cctMonitorCost(Contexts, Threads, Reps);
@@ -430,6 +444,7 @@ bool runCctSection(bench::BenchJson &Json, size_t Reps) {
                             GatePairs, G.OnVsOff.A,
                             G.OnVsOff.B * 20.0 + 100.0));
   Json.set("cct_direct_ns_per_event", Direct);
+  Json.set("cct_direct_probes_per_record", DirectProbes);
   Json.set("cct_off_1t_ns_per_event", OffOneThread);
   Json.set("cct_on_1t_ns_per_event", OnOneThread);
   return Ok;
@@ -450,13 +465,15 @@ bool runThreadSection(bool Smoke) {
   Json.set("events_per_rep", static_cast<uint64_t>(Events.size()));
   Json.set("reps", static_cast<uint64_t>(Reps));
 
-  double Direct = directTableCost(Reps);
+  double DirectProbes = 0;
+  double Direct = directTableCost(Reps, DirectProbes);
   Json.beginRow();
   Json.setRow("table", std::string("bsd_direct"));
   Json.setRow("threads", static_cast<uint64_t>(1));
   Json.setRow("ns_per_record", Direct);
   bench::row({"table", "threads", "ns/record"});
   bench::row({"bsd (bare table)", "1", format("%.2f", Direct)});
+  std::printf("bare table: %.2f chain probes per record\n", DirectProbes);
 
   struct KindRow {
     ArcTableKind Kind;
@@ -490,6 +507,7 @@ bool runThreadSection(bool Smoke) {
                                 "ns/record)",
                                 GatePairs, Gate.A, Gate.B * 2.5 + 5.0));
   Json.set("direct_ns_per_record", Direct);
+  Json.set("direct_probes_per_record", DirectProbes);
   Json.set("monitor_1t_ns_per_record", MonitorOneThreadBsd);
   Ok &= runCctSection(Json, Reps);
   Json.write();

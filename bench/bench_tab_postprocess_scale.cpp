@@ -45,6 +45,7 @@
 #include "prof/ProfBaseline.h"
 #include "support/Random.h"
 #include "support/Telemetry.h"
+#include "tests/support/Oracles.h"
 
 #include <algorithm>
 #include <cmath>

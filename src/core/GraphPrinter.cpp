@@ -6,6 +6,7 @@
 
 #include "core/GraphPrinter.h"
 
+#include "core/FlatPrinter.h"
 #include "graph/CallGraph.h"
 #include "support/Format.h"
 
@@ -309,4 +310,23 @@ std::string gprof::printCallGraphEntry(const ProfileReport &Report,
   std::string Out = listingHeader(/*Brief=*/true);
   printFunctionEntry(Report, ArcIndex(Report), Fn, Out);
   return Out;
+}
+
+std::string gprof::printReport(const ProfileReport &Report,
+                               const ReportFlags &Flags) {
+  FlatPrintOptions FP;
+  FP.ShowZeroUsage = Flags.ShowZero;
+  FP.Brief = Flags.Brief;
+  GraphPrintOptions GP;
+  GP.Brief = Flags.Brief;
+  GP.PrintIndex = !Flags.NoIndex;
+
+  std::string Text;
+  if (!Flags.GraphOnly)
+    Text += printFlatProfile(Report, FP);
+  if (!Flags.FlatOnly && !Flags.GraphOnly)
+    Text += "\n";
+  if (!Flags.FlatOnly)
+    Text += printCallGraph(Report, GP);
+  return Text;
 }

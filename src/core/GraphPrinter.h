@@ -46,6 +46,22 @@ std::string printCallGraph(const ProfileReport &Report,
 std::string printCallGraphEntry(const ProfileReport &Report,
                                 const std::string &Name);
 
+/// The five listing flags of `gprof-store report`, also carried by the
+/// daemon's QUERY_REPORT (serve/Protocol.h encodes them bit for bit).
+struct ReportFlags {
+  bool FlatOnly = false;
+  bool GraphOnly = false;
+  bool Brief = false;
+  bool NoIndex = false;
+  bool ShowZero = false;
+};
+
+/// Renders a store report: the flat profile, a blank separator line, then
+/// the call graph, each part as \p Flags select.  `gprof-store report`
+/// prints this text and the daemon answers QUERY_REPORT with it, so the
+/// two are byte-identical by construction.
+std::string printReport(const ProfileReport &Report, const ReportFlags &Flags);
+
 } // namespace gprof
 
 #endif // GPROF_CORE_GRAPHPRINTER_H

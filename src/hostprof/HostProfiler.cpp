@@ -6,7 +6,6 @@
 
 #include "hostprof/HostProfiler.h"
 
-#include "gmon/GmonFile.h"
 #include "runtime/ArcTable.h"
 #include "support/Format.h"
 
@@ -274,10 +273,4 @@ SymbolTable host::symbolize(const ProfileData &Data) {
   }
   cantFail(Table.finalize());
   return Table;
-}
-
-Error host::stopAndDump(const std::string &Path) {
-  stop();
-  ProfileData Data = extract();
-  return writeGmonFile(Path, Data);
 }

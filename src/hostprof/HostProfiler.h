@@ -36,8 +36,6 @@
 #include "gmon/ProfileData.h"
 #include "support/Error.h"
 
-#include <string>
-
 namespace gprof {
 namespace host {
 
@@ -73,9 +71,6 @@ ProfileData extract();
 /// Builds a symbol table for the addresses appearing in \p Data using
 /// dladdr.  Sizes are estimated as the gap to the next known symbol.
 SymbolTable symbolize(const ProfileData &Data);
-
-/// Convenience: stop, extract, and write a gmon file to \p Path.
-Error stopAndDump(const std::string &Path);
 
 } // namespace host
 } // namespace gprof

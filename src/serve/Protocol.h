@@ -33,6 +33,7 @@
 #ifndef GPROF_SERVE_PROTOCOL_H
 #define GPROF_SERVE_PROTOCOL_H
 
+#include "core/GraphPrinter.h"
 #include "store/ProfileStore.h"
 #include "support/Error.h"
 #include "support/Sha256.h"
@@ -112,20 +113,10 @@ struct PutShardRequest {
 std::vector<uint8_t> encodePutShard(const PutShardRequest &Req);
 Expected<PutShardRequest> decodePutShard(const std::vector<uint8_t> &Payload);
 
-/// Listing shape of a QUERY_REPORT, mirroring `gprof-store report` flags
-/// bit for bit so a daemon-side report can be byte-identical to an
-/// offline one.
-struct ReportFlags {
-  bool FlatOnly = false;
-  bool GraphOnly = false;
-  bool Brief = false;
-  bool NoIndex = false;
-  bool ShowZero = false;
-};
-
-/// QUERY_REPORT request.  \p Members empty means "every shard".  The
-/// image is named by path — the daemon serves a local socket, so client
-/// and server share a filesystem.
+/// QUERY_REPORT request.  \p Flags select the parts of the listing
+/// (printReport), and \p Members empty means "every shard".  The image is
+/// named by path — the daemon serves a local socket, so client and server
+/// share a filesystem.
 struct QueryReportRequest {
   std::string ImagePath;
   ReportFlags Flags;

@@ -7,7 +7,6 @@
 #include "serve/Server.h"
 
 #include "core/Analyzer.h"
-#include "core/FlatPrinter.h"
 #include "core/GraphPrinter.h"
 #include "gmon/GmonFile.h"
 #include "support/EventLog.h"
@@ -344,22 +343,8 @@ Error ServeServer::handleQuery(Connection &Conn, const Frame &Request) {
   if (!Report)
     return Conn.writeError(Report.message());
 
-  // Assemble exactly what `gprof-store report` prints on stdout, so a
-  // daemon-side report is byte-identical to the offline one.
-  FlatPrintOptions FP;
-  FP.ShowZeroUsage = Req->Flags.ShowZero;
-  FP.Brief = Req->Flags.Brief;
-  GraphPrintOptions GP;
-  GP.Brief = Req->Flags.Brief;
-  GP.PrintIndex = !Req->Flags.NoIndex;
-
-  std::string Text;
-  if (!Req->Flags.GraphOnly)
-    Text += printFlatProfile(*Report, FP);
-  if (!Req->Flags.FlatOnly && !Req->Flags.GraphOnly)
-    Text += "\n";
-  if (!Req->Flags.FlatOnly)
-    Text += printCallGraph(*Report, GP);
+  // The text `gprof-store report` prints, from the same renderer.
+  std::string Text = printReport(*Report, Req->Flags);
   telemetry::counter("serve.query.bytes_sent").add(Text.size());
   return Conn.writeFrame(MsgType::Ok, encodeText(Text));
 }

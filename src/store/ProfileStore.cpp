@@ -408,10 +408,10 @@ std::vector<RunInfo> ProfileStore::runsSnapshot() const {
   return Runs;
 }
 
-Expected<ShardInfo> ProfileStore::resolve(const std::string &HexPrefix) const {
+Expected<ShardInfo> gprof::resolveDigestPrefix(
+    const std::vector<ShardInfo> &Shards, const std::string &HexPrefix) {
   if (HexPrefix.empty())
     return Error::failure("empty shard digest");
-  std::lock_guard<std::mutex> Lock(*IngestMutex);
   const ShardInfo *Match = nullptr;
   for (const ShardInfo &S : Shards) {
     std::string Hex = digestToHex(S.Digest);

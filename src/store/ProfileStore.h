@@ -78,6 +78,11 @@ struct ShardInfo {
   uint64_t CaptureTimeNs = 0;
 };
 
+/// Resolves a (unique) hex digest prefix against \p Shards; an empty,
+/// ambiguous or unmatched prefix is an error.
+Expected<ShardInfo> resolveDigestPrefix(const std::vector<ShardInfo> &Shards,
+                                        const std::string &HexPrefix);
+
 /// One compacted run: a memoized partial merge over a fixed, disjoint set
 /// of shards.  Runs tier upward — a level-L run folds Fanout level-(L-1)
 /// runs (level 1 folds raw shards) — and every live run's member set is
@@ -190,9 +195,6 @@ public:
   putFile(const std::string &GmonPath,
           const Sha256Digest &ImageId = Sha256Digest{},
           uint64_t CaptureTimeNs = 0);
-
-  /// Resolves a (unique) hex digest prefix to a shard record.
-  Expected<ShardInfo> resolve(const std::string &HexPrefix) const;
 
   /// Loads one shard's profile data from its object slot.
   Expected<ProfileData> loadShard(const Sha256Digest &Digest) const;

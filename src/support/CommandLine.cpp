@@ -9,6 +9,7 @@
 #include "support/Format.h"
 
 #include <cassert>
+#include <cstdio>
 
 using namespace gprof;
 
@@ -115,6 +116,21 @@ Error OptionParser::parse(int Argc, const char *const *Argv) {
     Values[Spec->Name].push_back(Value);
   }
   return Error::success();
+}
+
+std::optional<int> OptionParser::parseOrStop(int Argc,
+                                             const char *const *Argv) {
+  if (Error E = parse(Argc, Argv)) {
+    std::fprintf(stderr, "%s: %s\n",
+                 ToolName.substr(0, ToolName.find(' ')).c_str(),
+                 E.message().c_str());
+    return 1;
+  }
+  if (hasFlag("help")) {
+    std::printf("%s", helpText().c_str());
+    return 0;
+  }
+  return std::nullopt;
 }
 
 bool OptionParser::hasFlag(const std::string &Name) const {

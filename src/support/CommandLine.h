@@ -54,6 +54,13 @@ public:
   /// Parses argv[1..argc).  On failure nothing should be queried.
   Error parse(int Argc, const char *const *Argv);
 
+  /// The front of every tool's main(): parses argv[1..argc) and returns
+  /// the exit code when the tool must stop there — 1 after printing the
+  /// error as "<program>: <message>" on stderr (the program is ToolName
+  /// up to its first space), 0 after printing --help — or nothing when
+  /// it should go on.
+  std::optional<int> parseOrStop(int Argc, const char *const *Argv);
+
   /// Returns true if the flag \p Name was given.
   bool hasFlag(const std::string &Name) const;
 

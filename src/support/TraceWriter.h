@@ -9,9 +9,8 @@
 /// loadable in `chrome://tracing` and https://ui.perfetto.dev.  The writer
 /// emits complete events (`"ph":"X"`, microsecond `ts`/`dur`) plus
 /// `thread_name` metadata so each profiler thread — "main" and every
-/// "worker-N" — gets its own track.  A minimal recursive-descent JSON
-/// validator rides along so tests and the ctest smoke target can accept or
-/// reject a trace without an external JSON library.
+/// "worker-N" — gets its own track.  Tests check the output with the
+/// JSON validator in tests/support/Oracles.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +20,6 @@
 #include "support/Error.h"
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,25 +71,6 @@ private:
   std::string ProcessName;
   std::vector<Event> Events;
 };
-
-/// Summary of a validated trace document.
-struct TraceStats {
-  size_t Events = 0;         ///< Elements of "traceEvents".
-  size_t CompleteEvents = 0; ///< `"ph":"X"`.
-  size_t MetaEvents = 0;     ///< `"ph":"M"`.
-  std::map<std::string, size_t> NameCounts; ///< Event name -> occurrences.
-  std::set<uint64_t> Tids;   ///< Distinct "tid" values seen.
-};
-
-/// Strict whole-document JSON syntax check (objects, arrays, strings with
-/// escapes, numbers, literals; rejects trailing garbage).  Returns the
-/// number of bytes consumed on success.
-Expected<size_t> validateJson(const std::string &Json);
-
-/// validateJson plus trace-shape checks: the document must be an object
-/// whose "traceEvents" member is an array of objects each carrying a
-/// string "ph" and "name".  Returns per-event tallies.
-Expected<TraceStats> validateTraceJson(const std::string &Json);
 
 } // namespace gprof
 

@@ -28,7 +28,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analyzer.h"
-#include "core/FlatPrinter.h"
 #include "core/GraphPrinter.h"
 #include "gmon/GmonFile.h"
 #include "serve/Client.h"
@@ -48,6 +47,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <thread>
 
 using namespace gprof;
@@ -59,55 +59,90 @@ int fail(const std::string &Message) {
   return 1;
 }
 
-/// Declares the shared --stats[=FILE] option (support/Telemetry.h) on a
-/// subcommand parser.
-void addStatsFlag(OptionParser &Opts) { telemetry::addStatsOption(Opts); }
-
 /// Honors --stats[=FILE]: bare dumps to stderr, =FILE writes the file.
 void maybeDumpStats(const OptionParser &Opts) {
   if (Error E = telemetry::emitStatsIfRequested(Opts, "gprof_store_stats"))
     std::fprintf(stderr, "gprof-store: %s\n", E.message().c_str());
 }
 
-/// Hashes the image file at \p Path into a store image identity.
-Expected<Sha256Digest> imageIdForFile(const std::string &Path) {
+/// Hashes the image named by --image into a store image identity; zero
+/// (unknown) when the option is absent.
+Expected<Sha256Digest> imageIdOption(const OptionParser &Opts) {
+  auto Path = Opts.getValue("image");
+  if (!Path)
+    return Sha256Digest{};
   // Hash straight out of the mapping; no copy of the image bytes.
-  auto Map = MappedFile::open(Path);
+  auto Map = MappedFile::open(*Path);
   if (!Map)
     return Map.takeError();
   return Sha256::hash(Map->data(), Map->size());
 }
 
-/// Parses an optional u64 value (capture-time nanoseconds); false on
-/// malformed input.  \p Present reports whether the option was given.
-bool parseU64Option(const OptionParser &Opts, const char *Name, uint64_t &Out,
-                    bool &Present) {
-  Present = false;
-  Out = 0;
+/// Reads the numeric option \p Name into \p Out, which keeps its default
+/// when the option is absent; false on malformed input or above \p Max.
+template <typename T>
+bool parseNumberOption(const OptionParser &Opts, const char *Name, T &Out,
+                       uint64_t Max = std::numeric_limits<T>::max()) {
   auto V = Opts.getValue(Name);
   if (!V)
     return true;
   unsigned long long N;
-  if (!parseUInt64(*V, N))
+  if (!parseUInt64(*V, N) || N > Max)
     return false;
-  Out = N;
-  Present = true;
+  Out = static_cast<T>(N);
   return true;
 }
 
 /// Resolves positional digest-prefix arguments (after the leading \p Skip
-/// positionals) into full member digests; empty result means "all shards".
-Expected<std::vector<Sha256Digest>> resolveMembers(const ProfileStore &Store,
-                                                   const OptionParser &Opts,
-                                                   size_t Skip) {
+/// positionals) against \p Shards into full member digests; empty result
+/// means "all shards".
+Expected<std::vector<Sha256Digest>>
+resolveMembers(const std::vector<ShardInfo> &Shards, const OptionParser &Opts,
+               size_t Skip) {
   std::vector<Sha256Digest> Members;
   for (size_t I = Skip; I < Opts.positional().size(); ++I) {
-    auto Info = Store.resolve(Opts.positional()[I]);
+    auto Info = resolveDigestPrefix(Shards, Opts.positional()[I]);
     if (!Info)
       return Info.takeError();
     Members.push_back(Info->Digest);
   }
   return Members;
+}
+
+/// The shard table of `list` and `query --list`.
+void printShardTable(const std::vector<ShardInfo> &Shards) {
+  std::printf("%-12s %6s %10s %10s %8s %s\n", "digest", "runs", "samples",
+              "arcs", "hz", "image");
+  for (const ShardInfo &S : Shards)
+    std::printf("%-12s %6u %10llu %10llu %8llu %s\n",
+                digestToHex(S.Digest).substr(0, 12).c_str(), S.Runs,
+                static_cast<unsigned long long>(S.TotalSamples),
+                static_cast<unsigned long long>(S.NumArcs),
+                static_cast<unsigned long long>(S.Hz),
+                S.ImageId == Sha256Digest{}
+                    ? "-"
+                    : digestToHex(S.ImageId).substr(0, 12).c_str());
+  std::printf("%zu shard(s)\n", Shards.size());
+}
+
+/// Declares the listing flags `report` and `query` share.
+void addReportFlags(OptionParser &Opts) {
+  Opts.addFlag("brief", 'b', "suppress field descriptions");
+  Opts.addFlag("zero", 'z', "show zero-time zero-call routines as rows");
+  Opts.addFlag("flat-only", 0, "print only the flat profile");
+  Opts.addFlag("graph-only", 0, "print only the call graph profile");
+  Opts.addFlag("no-index", 0, "omit the index-by-name table");
+}
+
+/// The listing flags given on the command line.
+ReportFlags reportFlags(const OptionParser &Opts) {
+  ReportFlags F;
+  F.FlatOnly = Opts.hasFlag("flat-only");
+  F.GraphOnly = Opts.hasFlag("graph-only");
+  F.Brief = Opts.hasFlag("brief");
+  F.NoIndex = Opts.hasFlag("no-index");
+  F.ShowZero = Opts.hasFlag("zero");
+  return F;
 }
 
 int cmdPut(int Argc, const char *const *Argv) {
@@ -124,28 +159,18 @@ int cmdPut(int Argc, const char *const *Argv) {
                  "stamp the shards with this capture time (nanoseconds "
                  "since the epoch) instead of now — for backfilling "
                  "historical profiles");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() < 2)
     return fail("expected a store path and at least one gmon file");
-  uint64_t CaptureTimeNs;
-  bool HaveCaptureTime;
-  if (!parseU64Option(Opts, "capture-time", CaptureTimeNs, HaveCaptureTime))
+  uint64_t CaptureTimeNs = 0; // 0 (and absent) both mean "stamp with now".
+  if (!parseNumberOption(Opts, "capture-time", CaptureTimeNs))
     return fail("invalid --capture-time value");
-  (void)HaveCaptureTime; // 0 (and absent) both mean "stamp with now".
 
-  Sha256Digest ImageId{};
-  if (auto ImagePath = Opts.getValue("image")) {
-    auto Id = imageIdForFile(*ImagePath);
-    if (!Id)
-      return fail(Id.message());
-    ImageId = *Id;
-  }
+  auto ImageId = imageIdOption(Opts);
+  if (!ImageId)
+    return fail(ImageId.message());
 
   StoreOptions StoreOpts;
   StoreOpts.TolerantReads = Opts.hasFlag("tolerant");
@@ -154,7 +179,7 @@ int cmdPut(int Argc, const char *const *Argv) {
     return fail(Store.message());
   for (size_t I = 1; I < Opts.positional().size(); ++I) {
     const std::string &Path = Opts.positional()[I];
-    auto Digest = Store->putFile(Path, ImageId, CaptureTimeNs);
+    auto Digest = Store->putFile(Path, *ImageId, CaptureTimeNs);
     if (!Digest)
       return fail(Digest.message());
     std::printf("%s %s\n", digestToHex(*Digest).c_str(), Path.c_str());
@@ -166,30 +191,15 @@ int cmdPut(int Argc, const char *const *Argv) {
 int cmdList(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store list", "list the shards in a profile store");
   Opts.setPositionalHelp("STORE");
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() != 1)
     return fail("expected exactly one store path");
 
   auto Store = ProfileStore::open(Opts.positional().front());
   if (!Store)
     return fail(Store.message());
-  std::printf("%-12s %6s %10s %10s %8s %s\n", "digest", "runs", "samples",
-              "arcs", "hz", "image");
-  for (const ShardInfo &S : Store->shards())
-    std::printf("%-12s %6u %10llu %10llu %8llu %s\n",
-                digestToHex(S.Digest).substr(0, 12).c_str(), S.Runs,
-                static_cast<unsigned long long>(S.TotalSamples),
-                static_cast<unsigned long long>(S.NumArcs),
-                static_cast<unsigned long long>(S.Hz),
-                S.ImageId == Sha256Digest{}
-                    ? "-"
-                    : digestToHex(S.ImageId).substr(0, 12).c_str());
-  std::printf("%zu shard(s)\n", Store->shards().size());
+  printShardTable(Store->shards());
   return 0;
 }
 
@@ -199,20 +209,16 @@ int cmdMerge(int Argc, const char *const *Argv) {
   Opts.setPositionalHelp("STORE [DIGEST-PREFIX ...]");
   Opts.addOption("output", 'o', "FILE",
                  "also write the merged gmon data to FILE");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().empty())
     return fail("expected a store path");
 
   auto Store = ProfileStore::open(Opts.positional().front());
   if (!Store)
     return fail(Store.message());
-  auto Members = resolveMembers(*Store, Opts, 1);
+  auto Members = resolveMembers(Store->shards(), Opts, 1);
   if (!Members)
     return fail(Members.message());
 
@@ -239,31 +245,22 @@ int cmdReport(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store report",
                     "print gprof listings for a merged aggregate");
   Opts.setPositionalHelp("STORE image.tlx [DIGEST-PREFIX ...]");
-  Opts.addFlag("brief", 'b', "suppress field descriptions");
-  Opts.addFlag("zero", 'z', "show zero-time zero-call routines as rows");
-  Opts.addFlag("flat-only", 0, "print only the flat profile");
-  Opts.addFlag("graph-only", 0, "print only the call graph profile");
-  Opts.addFlag("no-index", 0, "omit the index-by-name table");
+  addReportFlags(Opts);
   Opts.addOption("since", 0, "NS",
                  "only shards captured at or after this time (nanoseconds "
                  "since the epoch)");
   Opts.addOption("until", 0, "NS",
                  "only shards captured at or before this time (nanoseconds "
                  "since the epoch)");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() < 2)
     return fail("expected a store path and an image path");
-  uint64_t SinceNs, UntilNs;
-  bool HaveSince, HaveUntil;
-  if (!parseU64Option(Opts, "since", SinceNs, HaveSince))
+  uint64_t SinceNs = 0, UntilNs = 0;
+  if (!parseNumberOption(Opts, "since", SinceNs))
     return fail("invalid --since value");
-  if (!parseU64Option(Opts, "until", UntilNs, HaveUntil))
+  if (!parseNumberOption(Opts, "until", UntilNs))
     return fail("invalid --until value");
 
   auto Img = Image::loadFromFile(Opts.positional()[1]);
@@ -272,15 +269,15 @@ int cmdReport(int Argc, const char *const *Argv) {
   auto Store = ProfileStore::open(Opts.positional().front());
   if (!Store)
     return fail(Store.message());
-  auto Members = resolveMembers(*Store, Opts, 2);
+  auto Members = resolveMembers(Store->shards(), Opts, 2);
   if (!Members)
     return fail(Members.message());
-  if (HaveSince || HaveUntil) {
+  if (Opts.getValue("since") || Opts.getValue("until")) {
     // Window the member set by capture time; explicit digests intersect
     // with the window.  Guard the empty result — merge() reads an empty
     // member list as "all shards".
     std::vector<Sha256Digest> Window =
-        Store->membersInWindow(SinceNs, HaveUntil ? UntilNs : 0);
+        Store->membersInWindow(SinceNs, UntilNs);
     std::sort(Window.begin(), Window.end());
     if (Members->empty()) {
       *Members = std::move(Window);
@@ -318,20 +315,7 @@ int cmdReport(int Argc, const char *const *Argv) {
   auto Report = analyzeImageProfile(*Img, Result->Data);
   if (!Report)
     return fail(Report.message());
-
-  FlatPrintOptions FP;
-  FP.ShowZeroUsage = Opts.hasFlag("zero");
-  FP.Brief = Opts.hasFlag("brief");
-  GraphPrintOptions GP;
-  GP.Brief = Opts.hasFlag("brief");
-  GP.PrintIndex = !Opts.hasFlag("no-index");
-
-  if (!Opts.hasFlag("graph-only"))
-    std::printf("%s", printFlatProfile(*Report, FP).c_str());
-  if (!Opts.hasFlag("flat-only") && !Opts.hasFlag("graph-only"))
-    std::printf("\n");
-  if (!Opts.hasFlag("flat-only"))
-    std::printf("%s", printCallGraph(*Report, GP).c_str());
+  std::fputs(printReport(*Report, reportFlags(Opts)).c_str(), stdout);
   maybeDumpStats(Opts);
   return 0;
 }
@@ -344,20 +328,6 @@ int cmdReport(int Argc, const char *const *Argv) {
 volatile std::sig_atomic_t ServeInterrupted = 0;
 
 void handleServeSignal(int) { ServeInterrupted = 1; }
-
-/// Parses a small numeric option with a default; false on malformed input.
-bool parseUnsigned(const OptionParser &Opts, const char *Name,
-                   unsigned Default, unsigned Max, unsigned &Out) {
-  Out = Default;
-  auto V = Opts.getValue(Name);
-  if (!V)
-    return true;
-  unsigned long long N;
-  if (!parseUInt64(*V, N) || N > Max)
-    return false;
-  Out = static_cast<unsigned>(N);
-  return true;
-}
 
 int cmdServe(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store serve",
@@ -389,13 +359,9 @@ int cmdServe(int Argc, const char *const *Argv) {
   Opts.addOption("trace-out", 0, "FILE",
                  "write a Chrome trace of the daemon's spans to FILE at "
                  "shutdown, one track per request; enables span recording");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() != 1)
     return fail("expected exactly one store path");
   auto SocketPath = Opts.getValue("socket");
@@ -403,18 +369,14 @@ int cmdServe(int Argc, const char *const *Argv) {
     return fail("serve requires --socket PATH");
 
   serve::ServeOptions SO;
-  unsigned IdleMs, SlowMs;
-  if (!parseUnsigned(Opts, "jobs", 8, 1024, SO.Workers) ||
-      SO.Workers == 0)
+  if (!parseNumberOption(Opts, "jobs", SO.Workers, 1024) || SO.Workers == 0)
     return fail("invalid --jobs value");
-  if (!parseUnsigned(Opts, "queue", 8, 4096, SO.MaxQueuedConnections))
+  if (!parseNumberOption(Opts, "queue", SO.MaxQueuedConnections, 4096))
     return fail("invalid --queue value");
-  if (!parseUnsigned(Opts, "idle-timeout", 30000, 3600000, IdleMs))
+  if (!parseNumberOption(Opts, "idle-timeout", SO.IdleTimeoutMs, 3600000))
     return fail("invalid --idle-timeout value");
-  SO.IdleTimeoutMs = static_cast<int>(IdleMs);
-  if (!parseUnsigned(Opts, "slow-ms", 1000, 3600000, SlowMs))
+  if (!parseNumberOption(Opts, "slow-ms", SO.SlowRequestMs, 3600000))
     return fail("invalid --slow-ms value");
-  SO.SlowRequestMs = static_cast<int>(SlowMs);
   SO.Store.TolerantReads = Opts.hasFlag("tolerant");
   SO.BackgroundCompaction = !Opts.hasFlag("no-compaction");
 
@@ -473,19 +435,15 @@ int cmdStats(int Argc, const char *const *Argv) {
                  "with PREFIX");
   Opts.addOption("retries", 0, "N",
                  "extra attempts after a transient failure (default 2)");
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() != 1)
     return fail("expected exactly one socket path");
   serve::ClientOptions CO;
-  if (!parseUnsigned(Opts, "retries", 2, 1000, CO.Retries))
+  if (!parseNumberOption(Opts, "retries", CO.Retries, 1000))
     return fail("invalid --retries value");
-  unsigned WatchSecs;
-  if (!parseUnsigned(Opts, "watch", 0, 86400, WatchSecs))
+  unsigned WatchSecs = 0;
+  if (!parseNumberOption(Opts, "watch", WatchSecs, 86400))
     return fail("invalid --watch value");
 
   serve::ServeClient Client(Opts.positional().front(), CO);
@@ -522,25 +480,17 @@ int cmdPush(int Argc, const char *const *Argv) {
                  "store to its identity");
   Opts.addOption("retries", 0, "N",
                  "extra attempts after a transient failure (default 2)");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() < 2)
     return fail("expected a socket path and at least one gmon file");
 
-  Sha256Digest ImageId{};
-  if (auto ImagePath = Opts.getValue("image")) {
-    auto Id = imageIdForFile(*ImagePath);
-    if (!Id)
-      return fail(Id.message());
-    ImageId = *Id;
-  }
+  auto ImageId = imageIdOption(Opts);
+  if (!ImageId)
+    return fail(ImageId.message());
   serve::ClientOptions CO;
-  if (!parseUnsigned(Opts, "retries", 2, 1000, CO.Retries))
+  if (!parseNumberOption(Opts, "retries", CO.Retries, 1000))
     return fail("invalid --retries value");
 
   serve::ServeClient Client(Opts.positional().front(), CO);
@@ -549,7 +499,7 @@ int cmdPush(int Argc, const char *const *Argv) {
     auto Bytes = readFileBytes(Path);
     if (!Bytes)
       return fail(Bytes.message());
-    auto Digest = Client.putShard(*Bytes, ImageId);
+    auto Digest = Client.putShard(*Bytes, *ImageId);
     if (!Digest)
       return fail(Digest.message());
     std::printf("%s %s\n", digestToHex(*Digest).c_str(), Path.c_str());
@@ -562,23 +512,15 @@ int cmdQuery(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store query",
                     "fetch gprof listings from a serve daemon");
   Opts.setPositionalHelp("SOCKET image.tlx [DIGEST-PREFIX ...]");
-  Opts.addFlag("brief", 'b', "suppress field descriptions");
-  Opts.addFlag("zero", 'z', "show zero-time zero-call routines as rows");
-  Opts.addFlag("flat-only", 0, "print only the flat profile");
-  Opts.addFlag("graph-only", 0, "print only the call graph profile");
-  Opts.addFlag("no-index", 0, "omit the index-by-name table");
+  addReportFlags(Opts);
   Opts.addFlag("list", 'l', "list the daemon's shards instead of reporting");
   Opts.addOption("retries", 0, "N",
                  "extra attempts after a transient failure (default 2)");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   serve::ClientOptions CO;
-  if (!parseUnsigned(Opts, "retries", 2, 1000, CO.Retries))
+  if (!parseNumberOption(Opts, "retries", CO.Retries, 1000))
     return fail("invalid --retries value");
   if (Opts.positional().empty())
     return fail("expected a socket path");
@@ -588,18 +530,7 @@ int cmdQuery(int Argc, const char *const *Argv) {
     auto Shards = Client.list();
     if (!Shards)
       return fail(Shards.message());
-    std::printf("%-12s %6s %10s %10s %8s %s\n", "digest", "runs", "samples",
-                "arcs", "hz", "image");
-    for (const ShardInfo &S : *Shards)
-      std::printf("%-12s %6u %10llu %10llu %8llu %s\n",
-                  digestToHex(S.Digest).substr(0, 12).c_str(), S.Runs,
-                  static_cast<unsigned long long>(S.TotalSamples),
-                  static_cast<unsigned long long>(S.NumArcs),
-                  static_cast<unsigned long long>(S.Hz),
-                  S.ImageId == Sha256Digest{}
-                      ? "-"
-                      : digestToHex(S.ImageId).substr(0, 12).c_str());
-    std::printf("%zu shard(s)\n", Shards->size());
+    printShardTable(*Shards);
     maybeDumpStats(Opts);
     return 0;
   }
@@ -608,33 +539,18 @@ int cmdQuery(int Argc, const char *const *Argv) {
     return fail("expected a socket path and an image path");
   serve::QueryReportRequest Req;
   Req.ImagePath = Opts.positional()[1];
-  Req.Flags.FlatOnly = Opts.hasFlag("flat-only");
-  Req.Flags.GraphOnly = Opts.hasFlag("graph-only");
-  Req.Flags.Brief = Opts.hasFlag("brief");
-  Req.Flags.NoIndex = Opts.hasFlag("no-index");
-  Req.Flags.ShowZero = Opts.hasFlag("zero");
+  Req.Flags = reportFlags(Opts);
 
   // Digest prefixes resolve client-side against the daemon's index, with
-  // the same uniqueness rules as ProfileStore::resolve.
+  // the resolver `report` uses offline.
   if (Opts.positional().size() > 2) {
     auto Shards = Client.list();
     if (!Shards)
       return fail(Shards.message());
-    for (size_t I = 2; I < Opts.positional().size(); ++I) {
-      const std::string &Prefix = Opts.positional()[I];
-      const ShardInfo *Match = nullptr;
-      for (const ShardInfo &S : *Shards) {
-        if (digestToHex(S.Digest).compare(0, Prefix.size(), Prefix) != 0)
-          continue;
-        if (Match)
-          return fail(format("shard digest '%s' is ambiguous",
-                             Prefix.c_str()));
-        Match = &S;
-      }
-      if (!Match)
-        return fail(format("no shard matches digest '%s'", Prefix.c_str()));
-      Req.Members.push_back(Match->Digest);
-    }
+    auto Members = resolveMembers(*Shards, Opts, 2);
+    if (!Members)
+      return fail(Members.message());
+    Req.Members = Members.takeValue();
   }
 
   auto Text = Client.queryReport(Req);
@@ -652,20 +568,14 @@ int cmdGc(int Argc, const char *const *Argv) {
   Opts.addOption("expire-before", 0, "NS",
                  "retire shards (and the runs covering them) captured "
                  "before this time (nanoseconds since the epoch)");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() != 1)
     return fail("expected exactly one store path");
-  GcOptions GO;
-  bool HaveExpire;
-  if (!parseU64Option(Opts, "expire-before", GO.ExpireBeforeNs, HaveExpire))
+  GcOptions GO; // ExpireBeforeNs 0 (and absent) means "no expiry".
+  if (!parseNumberOption(Opts, "expire-before", GO.ExpireBeforeNs))
     return fail("invalid --expire-before value");
-  (void)HaveExpire; // 0 (and absent) both mean "no retention expiry".
 
   auto Store = ProfileStore::open(Opts.positional().front());
   if (!Store)
@@ -692,17 +602,13 @@ int cmdCompact(int Argc, const char *const *Argv) {
   Opts.setPositionalHelp("STORE");
   Opts.addOption("fanout", 0, "N",
                  "inputs folded per compaction step (default 8, min 2)");
-  addStatsFlag(Opts);
-  if (Error E = Opts.parse(Argc, Argv))
-    return fail(E.message());
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  telemetry::addStatsOption(Opts);
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() != 1)
     return fail("expected exactly one store path");
   StoreOptions SO;
-  if (!parseUnsigned(Opts, "fanout", 8, 1u << 20, SO.CompactionFanout) ||
+  if (!parseNumberOption(Opts, "fanout", SO.CompactionFanout, 1u << 20) ||
       SO.CompactionFanout < 2)
     return fail("invalid --fanout value (need at least 2)");
 

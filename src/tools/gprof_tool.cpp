@@ -77,14 +77,8 @@ int main(int Argc, char **Argv) {
                  "write phase spans as Chrome trace-event JSON to FILE "
                  "(load in chrome://tracing or Perfetto)");
 
-  if (Error E = Opts.parse(Argc, Argv)) {
-    std::fprintf(stderr, "gprof: %s\n", E.message().c_str());
-    return 1;
-  }
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().empty()) {
     std::fprintf(stderr, "gprof: expected an image path\n");
     return 1;

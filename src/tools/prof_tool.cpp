@@ -17,14 +17,8 @@ int main(int Argc, char **Argv) {
                     "display a flat execution profile (the pre-gprof tool)");
   Opts.setPositionalHelp("image.tlx [gmon.out ...]");
 
-  if (Error E = Opts.parse(Argc, Argv)) {
-    std::fprintf(stderr, "prof: %s\n", E.message().c_str());
-    return 1;
-  }
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().empty()) {
     std::fprintf(stderr, "prof: expected an image path\n");
     return 1;

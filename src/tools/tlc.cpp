@@ -35,14 +35,8 @@ int main(int Argc, char **Argv) {
   Opts.addFlag("disasm", 'd', "print a disassembly of the image");
   Opts.addFlag("dump-ast", 'a', "print the resolved AST and exit");
 
-  if (Error E = Opts.parse(Argc, Argv)) {
-    std::fprintf(stderr, "tlc: %s\n", E.message().c_str());
-    return 1;
-  }
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() != 1) {
     std::fprintf(stderr, "tlc: expected exactly one input file\n");
     return 1;

@@ -69,14 +69,8 @@ int main(int Argc, char **Argv) {
                  "push spans carry the daemon's request id");
   Opts.addFlag("quiet", 'q', "suppress printed program output");
 
-  if (Error E = Opts.parse(Argc, Argv)) {
-    std::fprintf(stderr, "tlrun: %s\n", E.message().c_str());
-    return 1;
-  }
-  if (Opts.hasFlag("help")) {
-    std::printf("%s", Opts.helpText().c_str());
-    return 0;
-  }
+  if (auto Rc = Opts.parseOrStop(Argc, Argv))
+    return *Rc;
   if (Opts.positional().size() != 1) {
     std::fprintf(stderr, "tlrun: expected exactly one image\n");
     return 1;

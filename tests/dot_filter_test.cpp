@@ -7,22 +7,14 @@
 #include "core/Analyzer.h"
 #include "core/DotExporter.h"
 #include "core/FlatPrinter.h"
-#include "core/SyntheticProfile.h"
 #include "support/Format.h"
+#include "tests/support/SyntheticProfile.h"
 
 #include <gtest/gtest.h>
 
 using namespace gprof;
 
 namespace {
-
-ProfileReport analyzeBuilder(const SyntheticProfileBuilder &B,
-                             AnalyzerOptions Opts = {}) {
-  auto In = B.build();
-  Analyzer A(std::move(In.Syms), std::move(Opts));
-  A.setStaticArcs(In.StaticArcs);
-  return cantFail(A.analyze(In.Data));
-}
 
 /// main -> {hot, warm}; hot -> helper; a static arc main -> cold; and a
 /// self-recursive cycle pair x <-> y under warm.
@@ -50,7 +42,7 @@ ProfileReport richReport(AnalyzerOptions Opts = {}) {
   B.setSelfSeconds(X, 0.5);
   B.setSelfSeconds(Y, 0.5);
   Opts.UseStaticArcs = true;
-  return analyzeBuilder(B, Opts);
+  return cantFail(B.analyze(Opts));
 }
 
 } // namespace
@@ -119,7 +111,7 @@ TEST(DotExporterTest, NamesEscaped) {
   uint32_t Main = B.addFunction("we\"ird\\name");
   B.addSpontaneous(Main);
   B.setSelfSeconds(Main, 1.0);
-  std::string Dot = exportDot(analyzeBuilder(B));
+  std::string Dot = exportDot(cantFail(B.analyze()));
   EXPECT_NE(Dot.find("we\\\"ird\\\\name"), std::string::npos);
 }
 
@@ -163,11 +155,9 @@ TEST(ExcludeTimeTest, UnknownNameFails) {
   SyntheticProfileBuilder B(100);
   uint32_t Main = B.addFunction("main");
   B.addSpontaneous(Main);
-  auto In = B.build();
   AnalyzerOptions Opts;
   Opts.ExcludeTimeOf = {"ghost"};
-  Analyzer A(std::move(In.Syms), Opts);
-  auto R = A.analyze(In.Data);
+  auto R = B.analyze(Opts);
   EXPECT_FALSE(static_cast<bool>(R));
   (void)R.takeError();
 }

@@ -19,6 +19,7 @@
 #include "support/FaultInjection.h"
 #include "support/FileUtils.h"
 #include "support/Format.h"
+#include "tests/support/Oracles.h"
 
 #include <gtest/gtest.h>
 
@@ -57,25 +58,6 @@ struct TempDir {
   ~TempDir() { std::filesystem::remove_all(Path); }
   std::string Path;
 };
-
-/// Reference profile with a fully known serialization:  8 histogram
-/// buckets with counts 1..8 and 5 arcs with distinct fields, so every
-/// truncation point has a computable salvage prefix.
-ProfileData makeRefData() {
-  ProfileData D;
-  D.TicksPerSecond = 100;
-  D.RunCount = 3;
-  D.Hist = Histogram(0, 64, 8);
-  for (uint64_t B = 0; B != 8; ++B)
-    for (uint64_t K = 0; K != B + 1; ++K)
-      D.Hist.recordPc(B * 8);
-  D.addArc(0x10, 0x100, 1);
-  D.addArc(0x20, 0x100, 2);
-  D.addArc(0x30, 0x200, 3);
-  D.addArc(0x40, 0x200, 4);
-  D.addArc(0x50, 0x300, 5);
-  return D;
-}
 
 // Serialized layout of makeRefData() (docs/FORMATS.md): the fixed header
 // runs through the histogram geometry, then counts, then narcs, then

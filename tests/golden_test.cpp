@@ -19,12 +19,12 @@
 #include "core/ContextTree.h"
 #include "core/FlatPrinter.h"
 #include "core/GraphPrinter.h"
-#include "core/SyntheticProfile.h"
 #include "gmon/GmonFile.h"
 #include "prof/ProfBaseline.h"
 #include "runtime/Monitor.h"
 #include "support/FileUtils.h"
 #include "support/Format.h"
+#include "tests/support/SyntheticProfile.h"
 #include "vm/CodeGen.h"
 #include "vm/VM.h"
 
@@ -232,12 +232,9 @@ ProfileReport analyzeListingStressProfile() {
   B.setSelfSeconds(Rec, 0.35);
   B.setSelfSeconds(Handler, 0.05);
 
-  auto In = B.build();
   AnalyzerOptions Opts;
   Opts.UseStaticArcs = true;
-  Analyzer A(std::move(In.Syms), std::move(Opts));
-  A.setStaticArcs(In.StaticArcs);
-  return cantFail(A.analyze(In.Data));
+  return cantFail(B.analyze(Opts));
 }
 
 } // namespace
@@ -400,11 +397,8 @@ ProfileReport analyzeCycleBreakingProfile(AnalyzerOptions Opts) {
   B.setSelfSeconds(R, 0.5);
   B.setSelfSeconds(S, 0.05);
 
-  auto In = B.build();
   Opts.UseStaticArcs = true;
-  Analyzer A(std::move(In.Syms), std::move(Opts));
-  A.setStaticArcs(In.StaticArcs);
-  return cantFail(A.analyze(In.Data));
+  return cantFail(B.analyze(std::move(Opts)));
 }
 
 } // namespace

@@ -21,13 +21,13 @@
 
 #include "core/Analyzer.h"
 #include "core/ContextTree.h"
-#include "core/SyntheticProfile.h"
 #include "gmon/GmonFile.h"
 #include "graph/Generators.h"
 #include "runtime/Monitor.h"
 #include "support/FileUtils.h"
 #include "support/Random.h"
 #include "support/Sha256.h"
+#include "tests/support/SyntheticProfile.h"
 #include "vm/CodeGen.h"
 #include "vm/ParallelRun.h"
 
@@ -60,20 +60,14 @@ SyntheticProfileBuilder makeProfile(const CallGraph &G, uint64_t Seed,
   return B;
 }
 
-ProfileReport analyzeBuilder(const SyntheticProfileBuilder &B) {
-  auto In = B.build();
-  Analyzer A(std::move(In.Syms));
-  return cantFail(A.analyze(In.Data));
-}
-
 } // namespace
 
 class MetamorphicTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(MetamorphicTest, ArcCountScalingLeavesTimesInvariant) {
   CallGraph G = makeRandomGraph(25, 55, 9, 0.05, GetParam());
-  ProfileReport R1 = analyzeBuilder(makeProfile(G, GetParam() + 1, 1));
-  ProfileReport R7 = analyzeBuilder(makeProfile(G, GetParam() + 1, 7));
+  ProfileReport R1 = cantFail(makeProfile(G, GetParam() + 1, 1).analyze());
+  ProfileReport R7 = cantFail(makeProfile(G, GetParam() + 1, 7).analyze());
 
   ASSERT_EQ(R1.Functions.size(), R7.Functions.size());
   for (size_t I = 0; I != R1.Functions.size(); ++I) {
@@ -132,14 +126,12 @@ TEST_P(MetamorphicTest, DeletingAllArcsOfACallerIsolatesIt) {
     }
   ASSERT_NE(Victim, InvalidNode);
 
-  SyntheticProfileBuilder B = makeProfile(G, GetParam() + 3, 1);
-  auto In = B.build();
   AnalyzerOptions Opts;
   for (ArcId A : G.outArcs(Victim))
     Opts.DeleteArcs.emplace_back(G.nodeName(Victim),
                                  G.nodeName(G.arc(A).To));
-  Analyzer A(std::move(In.Syms), Opts);
-  ProfileReport R = cantFail(A.analyze(In.Data));
+  ProfileReport R =
+      cantFail(makeProfile(G, GetParam() + 3, 1).analyze(Opts));
   uint32_t V = R.findFunction(G.nodeName(Victim));
   EXPECT_NEAR(R.Functions[V].ChildTime, 0.0, 1e-9);
 }

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analyzer.h"
-#include "core/SyntheticProfile.h"
 #include "gmon/GmonFile.h"
+#include "tests/support/SyntheticProfile.h"
 #include "vm/CodeGen.h"
 #include "vm/Disassembler.h"
 #include "vm/StaticCallScanner.h"
@@ -96,11 +96,9 @@ TEST(MiscAnalyzerTest, DeleteSelfArcZeroesRecursion) {
   B.addSpontaneous(Main);
   B.addCall(Main, Rec, 2);
   B.addCall(Rec, Rec, 9);
-  auto In = B.build();
   AnalyzerOptions Opts;
   Opts.DeleteArcs = {{"rec", "rec"}};
-  Analyzer A(std::move(In.Syms), Opts);
-  ProfileReport R = cantFail(A.analyze(In.Data));
+  ProfileReport R = cantFail(B.analyze(Opts));
   uint32_t RecFn = R.findFunction("rec");
   EXPECT_EQ(R.Functions[RecFn].SelfCalls, 0u);
   EXPECT_EQ(R.Functions[RecFn].Calls, 2u);

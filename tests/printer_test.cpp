@@ -15,7 +15,7 @@
 #include "core/Analyzer.h"
 #include "core/FlatPrinter.h"
 #include "core/GraphPrinter.h"
-#include "core/SyntheticProfile.h"
+#include "tests/support/SyntheticProfile.h"
 
 #include <gtest/gtest.h>
 
@@ -48,14 +48,6 @@ std::string lineWith(const std::string &Text, const std::string &Needle) {
   return "";
 }
 
-ProfileReport analyzeBuilder(const SyntheticProfileBuilder &B,
-                             AnalyzerOptions Opts = {}) {
-  auto In = B.build();
-  Analyzer A(std::move(In.Syms), std::move(Opts));
-  A.setStaticArcs(In.StaticArcs);
-  return cantFail(A.analyze(In.Data));
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -70,7 +62,7 @@ TEST(FlatFormatTest, ColumnsOfAKnownRow) {
   B.addCall(Main, Leaf, 8);
   B.setSelfSeconds(Leaf, 2.0);  // 250 ms/call self and total.
   B.setSelfSeconds(Main, 2.0);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
 
   std::string Row = lineWith(printFlatProfile(R), "leaf");
   ASSERT_FALSE(Row.empty());
@@ -91,7 +83,7 @@ TEST(FlatFormatTest, CumulativeColumnAccumulates) {
   B.addCall(Main, C, 1);
   B.setSelfSeconds(A, 3.0);
   B.setSelfSeconds(C, 1.0);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
   std::string Out = printFlatProfile(R);
   // aaa first (3.00 cumulative 3.00), ccc second (cumulative 4.00).
   EXPECT_NE(lineWith(Out, "aaa").find("3.00"), std::string::npos);
@@ -105,7 +97,7 @@ TEST(FlatFormatTest, NoCallsMeansBlankCallColumns) {
   B.addFunction("sampled_only");
   B.addSpontaneous(Main);
   B.setSelfSeconds(1, 1.0);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
   std::string Row = lineWith(printFlatProfile(R), "sampled_only");
   ASSERT_FALSE(Row.empty());
   // The calls and ms/call fields are blank: only two numbers (cumulative
@@ -163,7 +155,7 @@ TEST(FlatFormatTest, BriefSuppressesBlurb) {
   SyntheticProfileBuilder B(100);
   uint32_t Main = B.addFunction("main");
   B.addSpontaneous(Main);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
   FlatPrintOptions Opts;
   Opts.Brief = true;
   std::string Out = printFlatProfile(R, Opts);
@@ -199,7 +191,7 @@ ProfileReport threeLevel() {
   B.setSelfSeconds(Main, 1.0);
   B.setSelfSeconds(Mid, 1.0);
   B.setSelfSeconds(Leaf, 2.0);
-  return analyzeBuilder(B);
+  return cantFail(B.analyze());
 }
 
 } // namespace
@@ -267,7 +259,7 @@ TEST(GraphFormatTest, StaticChildRowShowsZeroCount) {
   B.setSelfSeconds(Cold, 1.0);
   AnalyzerOptions Opts;
   Opts.UseStaticArcs = true;
-  ProfileReport R = analyzeBuilder(B, Opts);
+  ProfileReport R = cantFail(B.analyze(Opts));
   std::string Entry = printCallGraphEntry(R, "main");
   std::string Row = lineWith(Entry, "cold [");
   ASSERT_FALSE(Row.empty());
@@ -283,7 +275,7 @@ TEST(GraphFormatTest, NeverCalledEntryAnnotated) {
   B.addStaticArc(Main, Ghost);
   AnalyzerOptions Opts;
   Opts.UseStaticArcs = true;
-  ProfileReport R = analyzeBuilder(B, Opts);
+  ProfileReport R = cantFail(B.analyze(Opts));
   std::string Entry = printCallGraphEntry(R, "ghost");
   // ghost has a parent row (the static arc), so no <never called>, but a
   // 0-calls primary line.
@@ -299,7 +291,7 @@ TEST(GraphFormatTest, SelfRecursionPlusNotation) {
   B.addSpontaneous(Main);
   B.addCall(Main, Rec, 3);
   B.addCall(Rec, Rec, 7);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
   std::string Primary = lineWith(printCallGraphEntry(R, "rec"), "rec [");
   EXPECT_NE(Primary.find("3+7"), std::string::npos) << Primary;
 }
@@ -315,7 +307,7 @@ TEST(GraphFormatTest, CycleMembersListedInsideCycleEntry) {
   B.addCall(Y, X, 19);
   B.setSelfSeconds(X, 1.0);
   B.setSelfSeconds(Y, 2.0);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
   std::string Out = printCallGraph(R);
 
   size_t CyclePos = Out.find("<cycle 1 as a whole>");

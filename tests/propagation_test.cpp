@@ -15,29 +15,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Analyzer.h"
-#include "core/SyntheticProfile.h"
 #include "graph/CallGraph.h"
 #include "graph/Generators.h"
 #include "graph/Tarjan.h"
 #include "support/Random.h"
+#include "tests/support/SyntheticProfile.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 using namespace gprof;
-
-namespace {
-
-ProfileReport analyzeBuilder(const SyntheticProfileBuilder &B,
-                             AnalyzerOptions Opts = {}) {
-  auto In = B.build();
-  Analyzer A(std::move(In.Syms), std::move(Opts));
-  A.setStaticArcs(In.StaticArcs);
-  return cantFail(A.analyze(In.Data));
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Hand-checked multi-cycle scenarios
@@ -66,7 +54,7 @@ TEST(CyclePropagationTest, CycleCallingACycle) {
   B.setSelfSeconds(C, 2.0);
   B.setSelfSeconds(D, 2.0);
   B.setSelfSeconds(Leaf, 3.0);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
 
   ASSERT_EQ(R.Cycles.size(), 2u);
   // Inner cycle {c,d}: self 4.0, inherits leaf's 3.0.
@@ -105,7 +93,7 @@ TEST(CyclePropagationTest, CycleTimeSharedByArcCounts) {
   B.setSelfSeconds(X, 2.0);
   B.setSelfSeconds(Y, 1.0);
   B.setSelfSeconds(Z, 1.0);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
   ASSERT_EQ(R.Cycles.size(), 1u);
   EXPECT_EQ(R.Cycles[0].ExternalCalls, 4u);
   EXPECT_NEAR(R.Functions[P1].ChildTime, 1.0, 1e-9); // 1/4 of 4.0
@@ -124,7 +112,7 @@ TEST(CyclePropagationTest, SelfArcInsideCycleStillIgnored) {
   B.addCall(A, A, 50); // Self recursion of a cycle member.
   B.setSelfSeconds(A, 1.0);
   B.setSelfSeconds(C, 1.0);
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
   ASSERT_EQ(R.Cycles.size(), 1u);
   // Self calls appear in the member's entry, not the cycle's external
   // count.
@@ -176,7 +164,7 @@ TEST_P(CycleConservationTest, AllTimeReachesTheEntryPoints) {
     Entries.push_back(N);
   }
 
-  ProfileReport R = analyzeBuilder(B);
+  ProfileReport R = cantFail(B.analyze());
 
   // Conservation: the entry nodes' totals sum to the whole program.
   // For an entry inside a cycle, the cycle's total is the right unit.

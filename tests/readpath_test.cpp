@@ -26,6 +26,7 @@
 #include "support/FileUtils.h"
 #include "support/MappedFile.h"
 #include "support/Telemetry.h"
+#include "tests/support/Oracles.h"
 
 #include <gtest/gtest.h>
 
@@ -67,26 +68,6 @@ struct TempDir {
   ~TempDir() { std::filesystem::remove_all(Path); }
   std::string Path;
 };
-
-/// Reference profile with a fully known serialization — the same shape
-/// as the crash-safety corpus (tests/fault_test.cpp): 8 histogram
-/// buckets with counts 1..8 and 5 arcs with distinct fields, so every
-/// truncation point has a computable salvage prefix.
-ProfileData makeRefData() {
-  ProfileData D;
-  D.TicksPerSecond = 100;
-  D.RunCount = 3;
-  D.Hist = Histogram(0, 64, 8);
-  for (uint64_t B = 0; B != 8; ++B)
-    for (uint64_t K = 0; K != B + 1; ++K)
-      D.Hist.recordPc(B * 8);
-  D.addArc(0x10, 0x100, 1);
-  D.addArc(0x20, 0x100, 2);
-  D.addArc(0x30, 0x200, 3);
-  D.addArc(0x40, 0x200, 4);
-  D.addArc(0x50, 0x300, 5);
-  return D;
-}
 
 /// Runs one byte image through the reference reader and the in-place
 /// reader under \p Tolerant and asserts bit-identical outcomes: same

@@ -33,6 +33,7 @@
 #include "support/Socket.h"
 #include "support/Telemetry.h"
 #include "support/TraceWriter.h"
+#include "tests/support/Oracles.h"
 #include "vm/CodeGen.h"
 #include "vm/Image.h"
 #include "vm/VM.h"
@@ -765,6 +766,18 @@ TEST_F(ServeTest, SurvivesGarbageStreamsAndMidUploadDisconnect) {
       // The server may close mid-send on header damage; that is the
       // client's problem, not the daemon's.
       Error E = Raw.sendAll(Mutated.data(), Mutated.size());
+      if (!E)
+        E = Raw.shutdownWrite();
+      // Drain until the daemon closes: a mutation that still decodes as a
+      // valid shard is then stored before the LIST below.
+      uint8_t Buf[256];
+      while (!E) {
+        auto N = Raw.recvSome(Buf, sizeof(Buf));
+        if (!N)
+          E = N.takeError();
+        else if (*N == 0)
+          break;
+      }
       if (E)
         (void)E.message();
     }
@@ -936,13 +949,20 @@ TEST_F(ServeTest, CliServePushQueryAndTlrunPush) {
   EXPECT_NE(Out.find(Digest.substr(0, 12)), std::string::npos) << Out;
 
   // The daemon-side report is byte-identical to the offline CLI report
-  // over the same store.
-  std::string ViaDaemon, Offline;
-  Rc = runCommandStdout(format("%s query %s %s --flat-only",
-                               GPROF_STORE_PATH, SocketPath.c_str(),
-                               ImgPath->c_str()),
-                        ViaDaemon);
-  ASSERT_EQ(Rc, 0) << ViaDaemon;
+  // over the same store, under every listing flag and one combination.
+  const std::vector<std::string> FlagSets = {
+      "",           "--flat-only", "--graph-only",
+      "--brief",    "--zero",      "--no-index",
+      "--brief --graph-only --no-index"};
+  std::vector<std::string> ViaDaemon(FlagSets.size());
+  for (size_t I = 0; I != FlagSets.size(); ++I) {
+    Rc = runCommandStdout(format("%s query %s %s %s", GPROF_STORE_PATH,
+                                 SocketPath.c_str(), ImgPath->c_str(),
+                                 FlagSets[I].c_str()),
+                          ViaDaemon[I]);
+    ASSERT_EQ(Rc, 0) << FlagSets[I] << ": " << ViaDaemon[I];
+    EXPECT_FALSE(ViaDaemon[I].empty()) << FlagSets[I];
+  }
 
   // Clean daemon shutdown on SIGTERM, releasing the socket and store.
   ASSERT_EQ(::kill(DaemonPid, SIGTERM), 0);
@@ -950,12 +970,15 @@ TEST_F(ServeTest, CliServePushQueryAndTlrunPush) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(fileExists(SocketPath)) << "daemon did not shut down";
 
-  Rc = runCommandStdout(format("%s report --flat-only %s %s",
-                               GPROF_STORE_PATH, StoreRoot.c_str(),
-                               ImgPath->c_str()),
-                        Offline);
-  ASSERT_EQ(Rc, 0) << Offline;
-  EXPECT_EQ(ViaDaemon, Offline);
+  for (size_t I = 0; I != FlagSets.size(); ++I) {
+    std::string Offline;
+    Rc = runCommandStdout(format("%s report %s %s %s", GPROF_STORE_PATH,
+                                 StoreRoot.c_str(), ImgPath->c_str(),
+                                 FlagSets[I].c_str()),
+                          Offline);
+    ASSERT_EQ(Rc, 0) << FlagSets[I] << ": " << Offline;
+    EXPECT_EQ(ViaDaemon[I], Offline) << FlagSets[I];
+  }
 
   // Unreachable daemon: tlrun --push is a clean nonzero exit with a
   // diagnostic, and so is gprof-store push.
@@ -973,6 +996,29 @@ TEST_F(ServeTest, CliServePushQueryAndTlrunPush) {
 
   std::filesystem::remove_all(StoreRoot);
   std::remove(GmonPath.c_str());
+}
+
+TEST_F(ServeTest, CliReportAndQueryRejectEmptyDigest) {
+  // An empty digest prefix would match every shard.  `report` and `query`
+  // resolve prefixes with one function, so both refuse it with the same
+  // message.  One shard is the case where a match-all goes unnoticed.
+  Daemon D("emptydigest");
+  ServeClient Client(D.SocketPath);
+  cantFail(Client.putShard(Shards->front(), *ImageId));
+  Client.disconnect();
+
+  std::string ViaDaemon, Offline;
+  int Rc = runCommand(format("%s query %s %s ''", GPROF_STORE_PATH,
+                             D.SocketPath.c_str(), ImgPath->c_str()),
+                      ViaDaemon);
+  EXPECT_NE(Rc, 0) << ViaDaemon;
+  D.Server->stop();
+  Rc = runCommand(format("%s report %s %s ''", GPROF_STORE_PATH,
+                         D.StoreRoot.c_str(), ImgPath->c_str()),
+                  Offline);
+  EXPECT_NE(Rc, 0) << Offline;
+  EXPECT_NE(Offline.find("empty shard digest"), std::string::npos) << Offline;
+  EXPECT_EQ(ViaDaemon, Offline);
 }
 
 //===----------------------------------------------------------------------===//

@@ -301,5 +301,9 @@ TEST_F(StoreCliTest, HelpTextsWork) {
     Rc = runCommand(format("%s %s --help", GPROF_STORE_PATH, Cmd), Out);
     EXPECT_EQ(Rc, 0) << Cmd;
     EXPECT_NE(Out.find("USAGE"), std::string::npos) << Cmd;
+    // A parse error names the program, not the subcommand.
+    Rc = runCommand(format("%s %s --bogus", GPROF_STORE_PATH, Cmd), Out);
+    EXPECT_EQ(Rc, 1) << Cmd;
+    EXPECT_EQ(Out.rfind("gprof-store: ", 0), 0u) << Out;
   }
 }

@@ -364,15 +364,15 @@ TEST(ProfileStoreTest, ResolvesUniquePrefixes) {
   Sha256Digest A = cantFail(Store->put(makeShard(10)));
   cantFail(Store->put(makeShard(11)));
 
-  auto Hit = Store->resolve(digestToHex(A).substr(0, 12));
+  auto Hit = resolveDigestPrefix(Store->shards(), digestToHex(A).substr(0, 12));
   ASSERT_TRUE(static_cast<bool>(Hit));
   EXPECT_EQ(Hit->Digest, A);
 
-  auto Miss = Store->resolve("ffffffffffff0000");
+  auto Miss = resolveDigestPrefix(Store->shards(), "ffffffffffff0000");
   EXPECT_FALSE(static_cast<bool>(Miss));
   (void)Miss.takeError();
   // A zero-length prefix would match everything.
-  auto Empty = Store->resolve("");
+  auto Empty = resolveDigestPrefix(Store->shards(), "");
   EXPECT_FALSE(static_cast<bool>(Empty));
   (void)Empty.takeError();
 }

@@ -23,6 +23,7 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/TraceWriter.h"
+#include "tests/support/Oracles.h"
 #include "vm/CodeGen.h"
 #include "vm/VM.h"
 

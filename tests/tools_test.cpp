@@ -14,7 +14,7 @@
 #include "gmon/GmonFile.h"
 #include "support/FileUtils.h"
 #include "support/Format.h"
-#include "support/TraceWriter.h"
+#include "tests/support/Oracles.h"
 
 #include <gtest/gtest.h>
 
